@@ -412,11 +412,13 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
 
 std::string Stage2ConfigTag(const Explain3DConfig& c) {
   return StrFormat("|s2:a%.17g|b%.17g|bs%zu|tl%.17g|th%.17g|r%.17g|pp%d|"
-                   "dc%d|mc%zu|mn%zu|en%zu",
+                   "dc%d|sd%llu|mc%zu|mn%zu|en%zu",
                    c.alpha, c.beta, c.batch_size, c.theta_low, c.theta_high,
                    c.reward, c.use_pre_partitioning ? 1 : 0,
-                   c.decompose_components ? 1 : 0, c.milp_max_constraints,
-                   c.milp_max_nodes, c.exact_max_nodes);
+                   c.decompose_components ? 1 : 0,
+                   static_cast<unsigned long long>(c.seed),
+                   c.milp_max_constraints, c.milp_max_nodes,
+                   c.exact_max_nodes);
 }
 
 std::string RequestResultKey(const std::string& db_identity,
@@ -458,14 +460,13 @@ std::string RequestResultKey(const std::string& db_identity,
   key += Stage2ConfigTag(config);
   // Degradation/budget knobs (excluded from the incumbent tag because
   // incumbents only record fully-optimal runs) DO shape what a budgeted
-  // run returns — and so does the config seed and the portfolio switch.
-  // Coalescing errs conservative: a knob that could matter splits keys.
+  // run returns — and so does the portfolio switch. Coalescing errs
+  // conservative: a knob that could matter splits keys.
   key += StrFormat(
-      "|d:m%d|fb%.17g|tl%.17g|ws%d|pf%d|sd%llu",
+      "|d:m%d|fb%.17g|tl%.17g|ws%d|pf%d",
       static_cast<int>(config.degradation_mode),
       config.fallback_budget_fraction, config.milp_time_limit_seconds,
-      config.warm_start ? 1 : 0, config.portfolio ? 1 : 0,
-      static_cast<unsigned long long>(config.seed));
+      config.warm_start ? 1 : 0, config.portfolio ? 1 : 0);
   return key;
 }
 

@@ -254,9 +254,12 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
 /// \brief Result-affecting stage-2 config tag ("|s2:..."), the incumbent
 /// key's config suffix.
 ///
-/// Covers every solver field that shapes the unit decomposition or the
-/// per-unit optima; thread count and the warm_start/portfolio switches
-/// are excluded (results are bit-identical across them). Exposed so
+/// Covers every solver field that shapes the unit decomposition (the
+/// partitioner seed included) or the per-unit optima; thread count and the
+/// warm_start/portfolio switches are excluded (results are bit-identical
+/// across them), and so are the budget and degradation knobs (a blown
+/// budget fails or degrades the call, never changes an exact answer).
+/// tests/core_solver_test.cc classifies every config field. Exposed so
 /// Explain3DService can key its admission-latency estimates by
 /// (db-identity, config-tag) — requests sharing a tag over the same data
 /// have comparable cost.

@@ -22,14 +22,30 @@ namespace explain3d {
 
 namespace {
 
-/// Splits one sub-problem into its connected components (indices stay
-/// global). Matches of `sub` are grouped by the component of their T1
-/// endpoint.
-std::vector<SubProblem> SplitIntoComponents(const SubProblem& sub,
+/// Records each tuple's position inside `sub` in the per-Solve position
+/// maps (global id → local index). Entries of other sub-problems stay
+/// behind, so a lookup is only meaningful for ids of `sub`.
+void IndexPositions(const SubProblem& sub, std::vector<size_t>* pos1,
+                    std::vector<size_t>* pos2) {
+  for (size_t k = 0; k < sub.t1_ids.size(); ++k) (*pos1)[sub.t1_ids[k]] = k;
+  for (size_t k = 0; k < sub.t2_ids.size(); ++k) (*pos2)[sub.t2_ids[k]] = k;
+}
+
+/// Splits one part into its connected components (indices stay global).
+/// Components are numbered by first appearance over the part's T1 tuples,
+/// T2 tuples, then matches — the unit order warm-start records align to —
+/// and matches go with the component of their T1 endpoint. Partitioning
+/// keeps both endpoints of every match inside its part, so the union-find
+/// runs over the part's own tuples (T1 at [0, n1), T2 after).
+std::vector<SubProblem> SplitIntoComponents(const SubProblem& part,
                                             const TupleMapping& mapping,
-                                            size_t n1, size_t n2) {
-  // Union-find over the tuples present in the sub-problem.
-  std::vector<size_t> parent(n1 + n2);
+                                            std::vector<size_t>* pos1,
+                                            std::vector<size_t>* pos2) {
+  IndexPositions(part, pos1, pos2);
+  const size_t n1 = part.t1_ids.size();
+  auto node1 = [&](size_t mid) { return (*pos1)[mapping[mid].t1]; };
+  auto node2 = [&](size_t mid) { return n1 + (*pos2)[mapping[mid].t2]; };
+  std::vector<size_t> parent(part.num_tuples());
   for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
   auto find = [&](size_t x) {
     while (parent[x] != x) {
@@ -38,27 +54,102 @@ std::vector<SubProblem> SplitIntoComponents(const SubProblem& sub,
     }
     return x;
   };
-  for (size_t mid : sub.match_ids) {
-    const TupleMatch& m = mapping[mid];
-    size_t ra = find(m.t1), rb = find(n1 + m.t2);
+  for (size_t mid : part.match_ids) {
+    size_t ra = find(node1(mid)), rb = find(node2(mid));
     if (ra != rb) parent[ra] = rb;
   }
-  std::unordered_map<size_t, size_t> root_to_comp;
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  std::vector<size_t> comp_of_root(parent.size(), kNone);
   std::vector<SubProblem> out;
-  auto comp_of = [&](size_t node) {
-    size_t root = find(node);
-    auto it = root_to_comp.find(root);
-    if (it != root_to_comp.end()) return it->second;
-    root_to_comp.emplace(root, out.size());
-    out.emplace_back();
-    return out.size() - 1;
+  auto comp_of = [&](size_t node) -> SubProblem& {
+    size_t& comp = comp_of_root[find(node)];
+    if (comp == kNone) {
+      comp = out.size();
+      out.emplace_back();
+    }
+    return out[comp];
   };
-  for (size_t g : sub.t1_ids) out[comp_of(g)].t1_ids.push_back(g);
-  for (size_t g : sub.t2_ids) out[comp_of(n1 + g)].t2_ids.push_back(g);
-  for (size_t mid : sub.match_ids) {
-    out[comp_of(mapping[mid].t1)].match_ids.push_back(mid);
+  for (size_t k = 0; k < n1; ++k) {
+    comp_of(k).t1_ids.push_back(part.t1_ids[k]);
+  }
+  for (size_t k = 0; k < part.t2_ids.size(); ++k) {
+    comp_of(n1 + k).t2_ids.push_back(part.t2_ids[k]);
+  }
+  for (size_t mid : part.match_ids) {
+    comp_of(node1(mid)).match_ids.push_back(mid);
   }
   return out;
+}
+
+/// A unit's local shape: the tuple counts, each tuple's impact bits in
+/// local order, then (local T1 index, local T2 index, p bits) per match in
+/// order. These are the only per-unit inputs MilpEncoder::Encode and the
+/// assignment solver read — α/β terms, degree caps, aggregates,
+/// integrality, and node limits are fixed for the whole Solve — so units
+/// with equal keys get byte-identical models and, since both searches
+/// visit in a fixed order, the same solution up to their id maps.
+using ShapeKey = std::vector<uint64_t>;
+
+struct ShapeKeyHash {
+  size_t operator()(const ShapeKey& key) const {
+    uint64_t h = key.size();
+    for (uint64_t word : key) h = CounterHash(h, word);
+    return static_cast<size_t>(h);
+  }
+};
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Writes `unit`'s ShapeKey into `key`, reusing its buffer.
+void BuildShapeKey(const SubProblem& unit, const CanonicalRelation& t1,
+                   const CanonicalRelation& t2, const TupleMapping& mapping,
+                   std::vector<size_t>* pos1, std::vector<size_t>* pos2,
+                   ShapeKey* key) {
+  IndexPositions(unit, pos1, pos2);
+  key->clear();
+  key->push_back(unit.t1_ids.size());
+  key->push_back(unit.t2_ids.size());
+  for (size_t g : unit.t1_ids) key->push_back(DoubleBits(t1.tuples[g].impact));
+  for (size_t g : unit.t2_ids) key->push_back(DoubleBits(t2.tuples[g].impact));
+  for (size_t mid : unit.match_ids) {
+    const TupleMatch& m = mapping[mid];
+    size_t i = (*pos1)[m.t1], j = (*pos2)[m.t2];
+    E3D_CHECK(i < unit.t1_ids.size() && unit.t1_ids[i] == m.t1 &&
+              j < unit.t2_ids.size() && unit.t2_ids[j] == m.t2)
+        << "unit match references a tuple outside the unit";
+    key->push_back(i);
+    key->push_back(j);
+    key->push_back(DoubleBits(m.p));
+  }
+}
+
+/// Appends `rep`'s explanations rewritten onto its twin: each id moves to
+/// the twin's id at the same local position. Impacts and probabilities
+/// carry over as they are — equal shape keys made them bit-equal.
+void AppendTwinExplanations(ExplanationSet* into, const ExplanationSet& from,
+                            const SubProblem& rep, const SubProblem& twin,
+                            std::vector<size_t>* pos1,
+                            std::vector<size_t>* pos2) {
+  IndexPositions(rep, pos1, pos2);
+  auto id1 = [&](size_t g) { return twin.t1_ids[(*pos1)[g]]; };
+  auto id2 = [&](size_t g) { return twin.t2_ids[(*pos2)[g]]; };
+  auto id = [&](Side side, size_t g) {
+    return side == Side::kLeft ? id1(g) : id2(g);
+  };
+  for (const ProvExplanation& e : from.delta) {
+    into->delta.push_back({e.side, id(e.side, e.tuple)});
+  }
+  for (const ValueExplanation& e : from.value_changes) {
+    into->value_changes.push_back(
+        {e.side, id(e.side, e.tuple), e.old_impact, e.new_impact});
+  }
+  for (const TupleMatch& m : from.evidence) {
+    into->evidence.emplace_back(id1(m.t1), id2(m.t2), m.p);
+  }
 }
 
 /// What one independent unit solve produces; merged in unit order so the
@@ -89,9 +180,7 @@ struct UnitOutcome {
 /// semantics, so any drift in an impact or probability (even below every
 /// comparison tolerance) invalidates the fingerprint.
 uint64_t HashDouble(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return CounterHash(h, bits);
+  return CounterHash(h, DoubleBits(v));
 }
 
 /// Fingerprint of everything that determines one unit's optimum: the
@@ -309,6 +398,11 @@ Result<Explain3DResult> Explain3DSolver::Solve(
 
   Timer solve_timer;
 
+  // Global id → position in the part or unit at hand: sized once per
+  // call and reused by the component split, the shape keys, and the twin
+  // remapping.
+  std::vector<size_t> pos1(t1.size()), pos2(t2.size());
+
   // Flatten partitions into the independent units stage 2 actually solves
   // (per-part connected components when decomposition is on).
   std::vector<SubProblem> units;
@@ -316,13 +410,32 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     if (part.num_tuples() == 0) continue;
     if (config_.decompose_components) {
       std::vector<SubProblem> split =
-          SplitIntoComponents(part, input.mapping, t1.size(), t2.size());
+          SplitIntoComponents(part, input.mapping, &pos1, &pos2);
       for (SubProblem& unit : split) units.push_back(std::move(unit));
     } else {
       units.push_back(std::move(part));
     }
   }
   result.stats.num_subproblems = units.size();
+
+  // Shape sharing: only the first unit of each ShapeKey (its
+  // representative) is solved; every later twin takes that answer mapped
+  // onto its own ids after the join. Units without matches are trivial
+  // and always solve themselves. rep_of[i] == i marks a representative.
+  std::vector<size_t> rep_of(units.size());
+  std::vector<size_t> reps;
+  {
+    std::unordered_map<ShapeKey, size_t, ShapeKeyHash> first_of_shape;
+    ShapeKey key;
+    for (size_t i = 0; i < units.size(); ++i) {
+      rep_of[i] = i;
+      if (!units[i].match_ids.empty()) {
+        BuildShapeKey(units[i], t1, t2, input.mapping, &pos1, &pos2, &key);
+        rep_of[i] = first_of_shape.try_emplace(key, i).first->second;
+      }
+      if (rep_of[i] == i) reps.push_back(i);
+    }
+  }
 
   // Cancellation scope of this solve: the caller's token, optionally
   // tightened by the config's stage-2 wall-clock budget. Routing the
@@ -338,9 +451,9 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     cancel = &*budget_token;
   }
 
-  // Solve every unit independently — concurrently when configured — into
-  // an outcome slot per unit, then merge in unit order. The merged result
-  // is bit-identical for any thread count.
+  // Solve every representative independently — concurrently when
+  // configured — into an outcome slot per unit, then merge in unit order.
+  // The merged result is bit-identical for any thread count.
   size_t threads = ResolveThreads(config_.num_threads);
   // The warm-start record is consulted only when it covers exactly this
   // unit decomposition; per-unit fingerprints then guard every seed.
@@ -349,31 +462,45 @@ Result<Explain3DResult> Explain3DSolver::Solve(
       (!warm->complete || warm->units.size() != units.size())) {
     warm = nullptr;
   }
+  // Sharing leaves a handful of large representatives among thousands of
+  // tiny ones, and the largest alone can outlast all the rest. Workers
+  // claim representatives one at a time, most matches first, so the large
+  // ones start at once and the loop ends close to the longest single
+  // solve, wherever that unit sits in unit order. The order of work never
+  // reaches the result: outcomes land in per-unit slots.
+  std::stable_sort(reps.begin(), reps.end(), [&](size_t a, size_t b) {
+    return units[a].match_ids.size() > units[b].match_ids.size();
+  });
   std::vector<UnitOutcome> outcomes(units.size());
+  std::atomic<size_t> next_rep{0};
   std::atomic<bool> failed{false};
-  ParallelFor(threads, units.size(), [&](size_t i) {
-    // Once any unit fails the whole Solve returns its error, so skip the
-    // remaining units instead of burning minutes on a doomed call (the
-    // serial loop bailed out on the first error too). SolveUnit's entry
-    // poll is the per-sub-problem cancellation point.
-    if (failed.load(std::memory_order_relaxed)) return;
-    outcomes[i] =
-        SolveUnit(units[i], t1, t2, input, encoder, prob_, config_, cancel,
-                  warm != nullptr ? &warm->units[i] : nullptr, threads);
-    if (!outcomes[i].status.ok()) {
-      failed.store(true, std::memory_order_relaxed);
+  ParallelFor(threads, std::min(threads, reps.size()), [&](size_t) {
+    for (size_t r = next_rep++; r < reps.size(); r = next_rep++) {
+      // Once any unit fails the whole Solve returns its error, so skip
+      // the remaining units instead of burning minutes on a doomed call
+      // (the serial loop bailed out on the first error too). SolveUnit's
+      // entry poll is the per-sub-problem cancellation point.
+      if (failed.load(std::memory_order_relaxed)) return;
+      const size_t i = reps[r];
+      outcomes[i] =
+          SolveUnit(units[i], t1, t2, input, encoder, prob_, config_, cancel,
+                    warm != nullptr ? &warm->units[i] : nullptr, threads);
+      if (!outcomes[i].status.ok()) {
+        failed.store(true, std::memory_order_relaxed);
+      }
     }
   });
 
   if (input.incumbent_bound_out != nullptr) {
     // Units partition the tuples and matches, so the per-unit objectives
     // (and hence their admissible bounds) sum to a bound on the full
-    // log-probability score. Units that never ran — entry cancel, or
-    // skipped after another unit failed — get the search-free root bound;
-    // if even that fails the total stays NaN.
+    // log-probability score. A twin's model is its representative's, and
+    // so is its bound. Units that never ran — entry cancel, or skipped
+    // after another unit failed — get the search-free root bound; if even
+    // that fails the total stays NaN.
     double total = 0;
     for (size_t i = 0; i < units.size(); ++i) {
-      double b = outcomes[i].bound;
+      double b = outcomes[rep_of[i]].bound;
       if (!std::isfinite(b)) {
         Result<double> root = ComponentOptimisticBound(
             t1, t2, input.mapping, input.attr, prob_, units[i]);
@@ -388,10 +515,20 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     *input.incumbent_bound_out = total;
   }
 
-  for (const UnitOutcome& out : outcomes) {
+  // Twins are filled in here, after the join: a twin reports its
+  // representative's engine, optimality, and warm-start hit, but expands
+  // no nodes of its own.
+  for (size_t i = 0; i < units.size(); ++i) {
+    const UnitOutcome& out = outcomes[rep_of[i]];
     if (!out.status.ok()) return out.status;
-    AppendExplanations(&result.explanations, out.explanations);
-    result.stats.total_nodes += out.total_nodes;
+    if (rep_of[i] == i) {
+      AppendExplanations(&result.explanations, out.explanations);
+      result.stats.total_nodes += out.total_nodes;
+    } else {
+      AppendTwinExplanations(&result.explanations, out.explanations,
+                             units[rep_of[i]], units[i], &pos1, &pos2);
+      ++result.stats.shared_units;
+    }
     result.stats.milp_solved += out.milp_solved;
     result.stats.exact_solved += out.exact_solved;
     result.stats.all_optimal &= out.all_optimal;
@@ -407,12 +544,19 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     // Record what this solve proved, in unit order. Only a fully-optimal
     // run is marked complete (storable): a truncated unit's incumbent is
     // feasible but unproven, and seeding from it could legitimize a
-    // different truncation point on the next run.
+    // different truncation point on the next run. A twin records its
+    // representative's optimum under its own fingerprint.
     SolverIncumbents rec;
-    rec.units.reserve(outcomes.size());
-    for (const UnitOutcome& out : outcomes) {
-      rec.units.push_back({out.fingerprint, out.objective,
-                           out.via_assignment});
+    rec.units.reserve(units.size());
+    for (size_t i = 0; i < units.size(); ++i) {
+      const UnitOutcome& out = outcomes[rep_of[i]];
+      uint64_t fingerprint =
+          rep_of[i] == i
+              ? out.fingerprint
+              : UnitFingerprint(units[i], t1, t2, input.mapping, prob_,
+                                encoder.side1_capped(),
+                                encoder.side2_capped());
+      rec.units.push_back({fingerprint, out.objective, out.via_assignment});
     }
     rec.objective = result.explanations.log_probability;
     rec.complete = result.stats.all_optimal;

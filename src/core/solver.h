@@ -8,7 +8,8 @@
 //      encoding + branch & bound for component-sized models, the
 //      structure-exploiting assignment branch & bound (exact_solver.h)
 //      beyond that — both return the same optima (cross-checked in
-//      tests);
+//      tests). Units of identical local shape are solved once: later
+//      twins take the first one's answer mapped onto their own ids;
 //   4. merge, normalize, and score the explanation set with the
 //      Section-3.1 probability model.
 
@@ -78,14 +79,21 @@ struct Explain3DInput {
 struct Explain3DStats {
   SmartPartitionStats partition;
   size_t num_subproblems = 0;
-  size_t milp_solved = 0;   ///< sub-problems through the MILP encoding
-  size_t exact_solved = 0;  ///< sub-problems through assignment B&B
-  size_t total_nodes = 0;   ///< branch & bound nodes across sub-problems
+  size_t milp_solved = 0;   ///< sub-problems decoded from the MILP encoding
+  size_t exact_solved = 0;  ///< sub-problems decoded from assignment B&B
+  size_t total_nodes = 0;   ///< branch & bound nodes actually expanded
   double solve_seconds = 0;  ///< stage-2 optimization time
   bool all_optimal = true;   ///< false if any sub-problem hit a limit
   /// Units whose branch & bound was seeded from a matching warm-start
-  /// incumbent (Explain3DInput::warm_start, fingerprint verified).
+  /// incumbent (Explain3DInput::warm_start, fingerprint verified); a
+  /// shared unit counts when its representative's search was seeded.
   size_t warm_start_hits = 0;
+  /// Units answered from an earlier unit of identical local shape (same
+  /// tuple counts, impact bits, and match endpoints and probability bits
+  /// in local order) instead of being solved. Such a unit counts under its
+  /// representative's engine in milp_solved/exact_solved and adds no
+  /// nodes to total_nodes; its answer is bit-identical to its own solve.
+  size_t shared_units = 0;
 };
 
 /// Stage-2 output.

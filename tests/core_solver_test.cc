@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "common/rng.h"
 #include "core/exact_solver.h"
 #include "core/milp_encoder.h"
 #include "core/partitioning.h"
+#include "core/pipeline.h"
 #include "milp/branch_and_bound.h"
 
 namespace explain3d {
@@ -379,6 +382,77 @@ TEST(Explain3DSolverTest, GreedySeedDoesNotChangeExactAnswer) {
     ASSERT_TRUE(r.ok());
     ExpectSameExplanations(r.value().explanations, cold.value().explanations);
     if (::testing::Test::HasFatalFailure()) break;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stage2ConfigTag keys warm-start records and admission buckets, so it must
+// change exactly when a config field can change a solve's answer.
+// ---------------------------------------------------------------------------
+
+TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
+  // Binding every field by name: a new Explain3DConfig field stops this
+  // compiling until it gets a row below.
+  Explain3DConfig defaults;
+  [[maybe_unused]] const auto& [alpha, beta, batch_size, theta_low,
+                                theta_high, reward, use_pre_partitioning,
+                                decompose_components, seed,
+                                milp_max_constraints, milp_time_limit_seconds,
+                                milp_max_nodes, exact_max_nodes,
+                                degradation_mode, fallback_budget_fraction,
+                                warm_start, portfolio, num_threads,
+                                cache_budget_bytes] = defaults;
+
+  struct Row {
+    const char* field;
+    std::function<void(Explain3DConfig*)> perturb;
+    bool affects_results;
+  };
+  const Row rows[] = {
+      {"alpha", [](Explain3DConfig* c) { c->alpha = 0.8; }, true},
+      {"beta", [](Explain3DConfig* c) { c->beta = 0.8; }, true},
+      {"batch_size", [](Explain3DConfig* c) { c->batch_size = 50; }, true},
+      {"theta_low", [](Explain3DConfig* c) { c->theta_low = 0.2; }, true},
+      {"theta_high", [](Explain3DConfig* c) { c->theta_high = 0.8; }, true},
+      {"reward", [](Explain3DConfig* c) { c->reward = 10; }, true},
+      {"use_pre_partitioning",
+       [](Explain3DConfig* c) { c->use_pre_partitioning = false; }, true},
+      {"decompose_components",
+       [](Explain3DConfig* c) { c->decompose_components = false; }, true},
+      // Seeds the partitioner's refinement, so it moves unit boundaries.
+      {"seed", [](Explain3DConfig* c) { c->seed = 2; }, true},
+      {"milp_max_constraints",
+       [](Explain3DConfig* c) { c->milp_max_constraints = 100; }, true},
+      // A blown budget fails the call; it never changes an answer.
+      {"milp_time_limit_seconds",
+       [](Explain3DConfig* c) { c->milp_time_limit_seconds = 5; }, false},
+      {"milp_max_nodes", [](Explain3DConfig* c) { c->milp_max_nodes = 100; },
+       true},
+      {"exact_max_nodes",
+       [](Explain3DConfig* c) { c->exact_max_nodes = 100; }, true},
+      // Degradation only replaces a failed call; records are taken from
+      // fully-optimal runs alone.
+      {"degradation_mode",
+       [](Explain3DConfig* c) {
+         c->degradation_mode = DegradationMode::kFallbackGreedy;
+       },
+       false},
+      {"fallback_budget_fraction",
+       [](Explain3DConfig* c) { c->fallback_budget_fraction = 0.3; }, false},
+      // Bit-identity contract: warm starts, the portfolio's floors, thread
+      // counts, and the cache budget never change an answer.
+      {"warm_start", [](Explain3DConfig* c) { c->warm_start = false; }, false},
+      {"portfolio", [](Explain3DConfig* c) { c->portfolio = true; }, false},
+      {"num_threads", [](Explain3DConfig* c) { c->num_threads = 3; }, false},
+      {"cache_budget_bytes",
+       [](Explain3DConfig* c) { c->cache_budget_bytes = 1 << 20; }, false},
+  };
+  const std::string base = Stage2ConfigTag(defaults);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    Explain3DConfig config;
+    row.perturb(&config);
+    EXPECT_EQ(Stage2ConfigTag(config) != base, row.affects_results);
   }
 }
 

@@ -19,15 +19,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/greedy.h"
+#include "common/cancel.h"
 #include "common/rng.h"
 #include "core/exact_solver.h"
 #include "core/incumbents.h"
 #include "core/milp_encoder.h"
+#include "core/partitioning.h"
 #include "core/solver.h"
 #include "milp/branch_and_bound.h"
 #include "milp/brute_force.h"
@@ -315,6 +321,310 @@ TEST(SolverOracleTest, SolverVariantsBitIdenticalAndMatchOracle) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     CheckSolverOracle(seed);
     if (::testing::Test::HasFatalFailure()) break;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shape sharing: a unit whose local shape equals an earlier unit's is not
+// solved but takes that unit's answer mapped onto its own ids. Every unit
+// must still get exactly the answer its own solve produces, so the
+// reference here solves each connected component as a standalone
+// instance, where it is the only unit and nothing can be shared.
+// ---------------------------------------------------------------------------
+
+/// One connected component of an instance as a standalone instance (local
+/// ids in ascending global order, matches in mapping order — the unit the
+/// solver builds for it), plus the global ids of its tuples.
+struct Piece {
+  OracleInstance inst;
+  std::vector<size_t> g1, g2;
+};
+
+CanonicalRelation SubRelation(const CanonicalRelation& rel,
+                              const std::vector<size_t>& ids) {
+  CanonicalRelation sub = rel;
+  sub.tuples.clear();
+  for (size_t g : ids) sub.tuples.push_back(rel.tuples[g]);
+  return sub;
+}
+
+std::vector<Piece> ComponentPieces(const OracleInstance& inst) {
+  std::vector<Piece> pieces;
+  for (const SubProblem& comp :
+       ComponentSubproblems(inst.t1.size(), inst.t2.size(), inst.mapping)) {
+    Piece p;
+    p.g1 = comp.t1_ids;
+    p.g2 = comp.t2_ids;
+    p.inst.t1 = SubRelation(inst.t1, p.g1);
+    p.inst.t2 = SubRelation(inst.t2, p.g2);
+    p.inst.attr = inst.attr;
+    auto local = [](const std::vector<size_t>& ids, size_t g) {
+      return static_cast<size_t>(
+          std::lower_bound(ids.begin(), ids.end(), g) - ids.begin());
+    };
+    for (size_t mid : comp.match_ids) {
+      const TupleMatch& m = inst.mapping[mid];
+      p.inst.mapping.emplace_back(local(p.g1, m.t1), local(p.g2, m.t2), m.p);
+    }
+    pieces.push_back(std::move(p));
+  }
+  return pieces;
+}
+
+/// What a piece's model is made of, compared by value: impacts in local
+/// order and (local t1, local t2, p) per match in order.
+using PieceShape =
+    std::tuple<std::vector<double>, std::vector<double>,
+               std::vector<std::tuple<size_t, size_t, double>>>;
+
+PieceShape ShapeOf(const OracleInstance& inst) {
+  PieceShape s;
+  for (const CanonicalTuple& t : inst.t1.tuples) {
+    std::get<0>(s).push_back(t.impact);
+  }
+  for (const CanonicalTuple& t : inst.t2.tuples) {
+    std::get<1>(s).push_back(t.impact);
+  }
+  for (const TupleMatch& m : inst.mapping) {
+    std::get<2>(s).emplace_back(m.t1, m.t2, m.p);
+  }
+  return s;
+}
+
+/// The sharing-free reference of a whole instance: every component solved
+/// on its own, mapped back to global ids.
+struct Reference {
+  ExplanationSet answer;  ///< normalized and scored over the whole
+  double objective_sum = 0;  ///< Σ component objectives
+  size_t milp_solved = 0;    ///< components decoded from the MILP
+  size_t exact_solved = 0;   ///< components decoded from assignment B&B
+  size_t twins = 0;      ///< components with matches minus their shapes
+  size_t rep_nodes = 0;  ///< cold nodes of the first piece of each shape
+};
+
+Reference SolvePieces(const OracleInstance& whole,
+                      const Explain3DConfig& config) {
+  Reference ref;
+  std::set<PieceShape> seen;
+  for (const Piece& p : ComponentPieces(whole)) {
+    Result<Explain3DResult> r = Explain3DSolver(config).Solve(
+        {&p.inst.t1, &p.inst.t2, p.inst.attr, p.inst.mapping});
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return ref;
+    const ExplanationSet& e = r.value().explanations;
+    EXPECT_EQ(r.value().stats.shared_units, 0u);
+    ref.objective_sum += e.log_probability;
+    ref.milp_solved += r.value().stats.milp_solved;
+    ref.exact_solved += r.value().stats.exact_solved;
+    for (const ProvExplanation& d : e.delta) {
+      ref.answer.delta.push_back(
+          {d.side, (d.side == Side::kLeft ? p.g1 : p.g2)[d.tuple]});
+    }
+    for (const ValueExplanation& v : e.value_changes) {
+      ref.answer.value_changes.push_back(
+          {v.side, (v.side == Side::kLeft ? p.g1 : p.g2)[v.tuple],
+           v.old_impact, v.new_impact});
+    }
+    for (const TupleMatch& m : e.evidence) {
+      ref.answer.evidence.emplace_back(p.g1[m.t1], p.g2[m.t2], m.p);
+    }
+    if (p.inst.mapping.empty()) continue;
+    if (seen.insert(ShapeOf(p.inst)).second) {
+      ref.rep_nodes += r.value().stats.total_nodes;
+    } else {
+      ++ref.twins;
+    }
+  }
+  ref.answer.Normalize();
+  ProbabilityModel prob(config);
+  ref.answer.log_probability =
+      prob.Score(whole.t1, whole.t2, whole.mapping, ref.answer);
+  return ref;
+}
+
+/// Appends `block` to `into` with its tuple ids shifted past the tuples
+/// already there (the attribute match is the whole instance's).
+void AppendBlock(OracleInstance* into, const OracleInstance& block) {
+  size_t off1 = into->t1.size(), off2 = into->t2.size();
+  for (const CanonicalTuple& t : block.t1.tuples) into->t1.tuples.push_back(t);
+  for (const CanonicalTuple& t : block.t2.tuples) into->t2.tuples.push_back(t);
+  for (const TupleMatch& m : block.mapping) {
+    into->mapping.emplace_back(m.t1 + off1, m.t2 + off2, m.p);
+  }
+}
+
+OracleInstance SmallInstance(const std::vector<double>& i1,
+                             const std::vector<double>& i2,
+                             const TupleMapping& mapping) {
+  OracleInstance inst;
+  inst.t1 = MakeRelation(i1, "L");
+  inst.t2 = MakeRelation(i2, "R");
+  inst.mapping = mapping;
+  return inst;
+}
+
+/// `copies` shifted copies of the seed's oracle instance, interleaved with
+/// units of unique shape, a 2×2 probe unit and its exact twin, and three
+/// near-twins of the probe: one impact one ulp up, one p one ulp up, and
+/// two equal-p matches with their endpoints swapped (the same match set in
+/// another order). Probe and unique impacts lie outside the oracle's
+/// {1, 2}, so no block can collide with another by accident.
+OracleInstance MakeSharingInstance(uint64_t seed, size_t copies) {
+  OracleInstance base = MakeOracleInstance(seed);
+  const TupleMapping probe_matches = {
+      {0, 0, 0.5}, {0, 1, 0.7}, {1, 1, 0.5}, {1, 0, 0.7}};
+  OracleInstance probe = SmallInstance({3, 4}, {7, 3}, probe_matches);
+  OracleInstance impact_ulp = probe;
+  impact_ulp.t1.tuples[0].impact = std::nextafter(3.0, 4.0);
+  OracleInstance p_ulp = probe;
+  p_ulp.mapping[1].p = std::nextafter(0.7, 1.0);
+  OracleInstance swapped = probe;
+  std::swap(swapped.mapping[0], swapped.mapping[2]);
+  const OracleInstance extras[] = {probe, impact_ulp, probe, p_ulp, swapped};
+
+  OracleInstance whole;
+  whole.t1 = MakeRelation({}, "L");
+  whole.t2 = MakeRelation({}, "R");
+  // The impact nudge is not integral; continuous impact variables keep
+  // the MILP and the assignment solver on one model.
+  whole.t1.integral_impacts = whole.t2.integral_impacts = false;
+  whole.attr = base.attr;
+  for (size_t c = 0; c < copies; ++c) {
+    AppendBlock(&whole, base);
+    double unique = 10.0 + static_cast<double>(c);
+    AppendBlock(&whole, SmallInstance({unique}, {unique}, {{0, 0, 0.7}}));
+    if (c < std::size(extras)) AppendBlock(&whole, extras[c]);
+  }
+  for (size_t c = copies; c < std::size(extras); ++c) {
+    AppendBlock(&whole, extras[c]);
+  }
+  return whole;
+}
+
+void CheckSharingLeg(uint64_t seed) {
+  const size_t kCopies = 4;
+  OracleInstance whole = MakeSharingInstance(seed, kCopies);
+  ProbabilityModel prob((Explain3DConfig()));
+  Explain3DConfig serial;
+  serial.num_threads = 1;
+  Reference ref = SolvePieces(whole, serial);
+  if (::testing::Test::HasFailure()) return;
+  // The probe's exact twin always shares; the base instance's units with
+  // matches (if it has any) repeat kCopies times.
+  ASSERT_GE(ref.twins, 1u);
+
+  // The base instance solved alone matches its own pieces, so each copy
+  // checked against the pieces below equals that answer, shifted.
+  OracleInstance single = MakeOracleInstance(seed);
+  single.t1.integral_impacts = single.t2.integral_impacts = false;
+  Result<Explain3DResult> alone = Explain3DSolver(serial).Solve(
+      {&single.t1, &single.t2, single.attr, single.mapping});
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  ExpectBitIdentical(alone.value().explanations,
+                     SolvePieces(single, serial).answer);
+
+  // Cold serial solve: the record for the warm runs, and the node count
+  // of one solve per shape.
+  SolverIncumbents rec;
+  Explain3DInput cold_input{&whole.t1, &whole.t2, whole.attr, whole.mapping};
+  cold_input.incumbents_out = &rec;
+  Result<Explain3DResult> cold = Explain3DSolver(serial).Solve(cold_input);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(rec.complete);
+  EXPECT_EQ(cold.value().stats.total_nodes, ref.rep_nodes);
+
+  ExplanationSet greedy =
+      GreedyBaseline(whole.t1, whole.t2, whole.mapping, whole.attr, prob);
+  std::vector<size_t> selection = SelectionOf(whole.mapping, greedy.evidence);
+
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (const char* mode : {"cold", "warm", "greedy"}) {
+      SCOPED_TRACE(std::string(mode) + " threads=" + std::to_string(threads));
+      Explain3DConfig config;
+      config.num_threads = threads;
+      Explain3DInput in{&whole.t1, &whole.t2, whole.attr, whole.mapping};
+      if (std::string(mode) == "warm") in.warm_start = &rec;
+      if (std::string(mode) == "greedy") in.greedy_selection = &selection;
+      Result<Explain3DResult> r = Explain3DSolver(config).Solve(in);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const Explain3DStats& stats = r.value().stats;
+      ExpectBitIdentical(r.value().explanations, ref.answer);
+      EXPECT_EQ(stats.shared_units, ref.twins);
+      EXPECT_TRUE(stats.all_optimal);
+      EXPECT_EQ(stats.milp_solved, ref.milp_solved);
+      EXPECT_EQ(stats.exact_solved, ref.exact_solved);
+      EXPECT_EQ(stats.warm_start_hits,
+                in.warm_start != nullptr
+                    ? stats.milp_solved + stats.exact_solved
+                    : 0u);
+    }
+  }
+}
+
+TEST(SolverOracleTest, SharedShapesBitIdenticalToTheirOwnSolves) {
+  for (size_t seed = SeedBase(); seed < SeedBase() + SeedCount(); ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CheckSharingLeg(seed);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+}
+
+// A deadline that fires mid-solve fails the call with the token's status
+// and still publishes a finite bound that sits above the optimum — also
+// for twins, whose representatives may have finished, been interrupted,
+// or never started.
+TEST(SolverOracleTest, CancelMidSolveKeepsSharedBoundsAdmissible) {
+  // Under ⊑, a complete 16×4 unit whose group impacts no member sum can
+  // reach never prunes above the last level: 5^16 leaves, so the deadline
+  // always lands inside it. Two copies sit between two sharing instances:
+  // after them come twins of finished units and shapes never started.
+  OracleInstance hard;
+  hard.t1 = MakeRelation(std::vector<double>(16, 1.0), "H");
+  hard.t2 = MakeRelation(std::vector<double>(4, 1000.0), "G");
+  for (size_t i = 0; i < 16; ++i) {
+    for (size_t j = 0; j < 4; ++j) hard.mapping.emplace_back(i, j, 0.5);
+  }
+  const AttributeMatch attr =
+      AttributeMatch::Single("k", "k", SemanticRelation::kLessGeneral);
+  OracleInstance whole = MakeSharingInstance(3, 4);
+  OracleInstance tail = MakeSharingInstance(4, 2);
+  whole.attr = tail.attr = attr;
+  Explain3DConfig serial;
+  serial.num_threads = 1;
+  // Reference objectives of everything but the hard copies.
+  Reference ref = SolvePieces(whole, serial);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  Reference tail_ref = SolvePieces(tail, serial);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  AppendBlock(&whole, hard);
+  AppendBlock(&whole, hard);
+  AppendBlock(&whole, tail);
+
+  // Any feasible selection scores at most the optimum: all-removed here.
+  ProbabilityModel prob((Explain3DConfig()));
+  SubProblem hard_unit = WholeProblem(hard);
+  Result<double> hard_floor = ScoreUnitSelection(
+      hard.t1, hard.t2, hard.mapping, attr, prob, hard_unit, {});
+  ASSERT_TRUE(hard_floor.ok());
+  const double optimum_floor =
+      ref.objective_sum + tail_ref.objective_sum + 2 * hard_floor.value();
+
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Explain3DConfig config;
+    config.num_threads = threads;
+    config.exact_max_nodes = size_t{1} << 60;
+    CancelToken token(0.05);
+    double bound = std::numeric_limits<double>::quiet_NaN();
+    Explain3DInput in{&whole.t1, &whole.t2, whole.attr, whole.mapping};
+    in.cancel = &token;
+    in.incumbent_bound_out = &bound;
+    Result<Explain3DResult> r = Explain3DSolver(config).Solve(in);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(r.status().code(), token.Check().code());
+    ASSERT_TRUE(std::isfinite(bound));
+    EXPECT_GE(bound, optimum_floor - 1e-6);
   }
 }
 
