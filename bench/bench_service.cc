@@ -25,28 +25,23 @@
 //                         scheduler carving the interactive tail out of
 //                         the backlog.
 //   6. degradation-tail — the same hard solve under a deadline the
-//                         exact solver cannot meet, strict vs anytime
-//                         fallback: strict answers nothing (every
-//                         request expires at the deadline), fallback
-//                         answers every request with a marked degraded
-//                         result INSIDE the deadline — same tail, full
-//                         answer rate (the graceful-degradation
-//                         acceptance figure).
-//   7. portfolio-tail   — the same deadline, strict vs portfolio
-//                         (Explain3DConfig::portfolio): the portfolio
-//                         runs greedy FIRST, seeds the exact attempt
-//                         with its objective as a pruning floor, and
-//                         returns the greedy answer (marked
-//                         kGreedyPortfolio, with an admissible
-//                         incumbent_bound certificate) when the budget
-//                         fires — full answer rate at the strict p99.
-//   8. warm-restart     — the persistence-tier figure: a service snapshots
+//                         exact solver cannot meet, strict vs portfolio
+//                         (Explain3DConfig::portfolio): strict answers
+//                         nothing (every request expires at the
+//                         deadline); the portfolio runs greedy FIRST,
+//                         seeds the exact attempt with its objective as
+//                         a pruning floor, and returns the greedy answer
+//                         (marked degraded, with an admissible
+//                         incumbent_bound certificate) INSIDE the
+//                         deadline — same tail, full answer rate (the
+//                         graceful-degradation acceptance figure).
+//   7. warm-restart     — the persistence-tier figure: a service snapshots
 //                         its warm state (SnapshotTo), dies, and a fresh
 //                         process restores it (RestoreFrom). Rows compare
 //                         the cold first request against the restored
 //                         service's first request — a warm hit straight
 //                         off the mmapped snapshot, no rebuild.
-//   9. service-multi-client — four tenants flooding IDENTICAL oracle-free
+//   8. service-multi-client — four tenants flooding IDENTICAL oracle-free
 //                         requests through one service, coalescing off vs
 //                         on: off pays one pipeline run per ticket, on
 //                         shares one run per key (coalesced_hits) at the
@@ -320,13 +315,12 @@ PriorityTailResult MeasurePriorityTail(const SyntheticDataset& data) {
   return result;
 }
 
-// --- phase 6: degraded-vs-strict tail latency under tight deadlines ---------
+// --- phase 6: portfolio-vs-strict tail latency under tight deadlines --------
 
 struct ModeTail {
   size_t requests = 0;
   size_t answered = 0;           ///< OK results returned
   size_t degraded = 0;           ///< answered AND marked degraded()
-  size_t portfolio_greedy = 0;   ///< degraded via the portfolio greedy leg
   size_t deadline_exceeded = 0;  ///< expired empty-handed
   double p50 = 0, p99 = 0, max = 0;  ///< submit → resolution, seconds
   /// Worst optimality-gap certificate across degraded answers:
@@ -344,12 +338,11 @@ double Percentile(std::vector<double> v, double q) {
 
 // One mode's run: the MakeHardRequest solve (uninterrupted: seconds to
 // minutes) under a deadline it cannot meet. Strict requests expire at
-// the deadline with nothing; fallback requests resolve a marked
+// the deadline with nothing; portfolio requests resolve a marked
 // degraded result inside it. Both tails sit at ~deadline — the figure
 // is the answer rate at the same latency.
-ModeTail MeasureDegradationTail(const SyntheticDataset& data,
-                                DegradationMode mode, double deadline_s,
-                                size_t requests, bool portfolio = false) {
+ModeTail MeasureDegradationTail(const SyntheticDataset& data, bool portfolio,
+                                double deadline_s, size_t requests) {
   ServiceOptions options;
   options.max_concurrency = 1;
   options.auto_fallback_on_overload = false;  // measure the MODE, not health
@@ -367,7 +360,6 @@ ModeTail MeasureDegradationTail(const SyntheticDataset& data,
   for (size_t i = 0; i < requests; ++i) {
     ExplanationRequest req = MakeHardRequest(data, h1, h2, size_t{1} << 60);
     req.deadline_seconds = deadline_s;
-    req.config.degradation_mode = mode;
     req.config.portfolio = portfolio;
     Timer timer;
     TicketPtr t = service.Submit(req);
@@ -378,9 +370,6 @@ ModeTail MeasureDegradationTail(const SyntheticDataset& data,
       if (r.value().degraded()) {
         ++tail.degraded;
         const DegradationInfo& info = r.value().degradation();
-        if (info.solver == DegradationInfo::Solver::kGreedyPortfolio) {
-          ++tail.portfolio_greedy;
-        }
         if (std::isfinite(info.incumbent_bound)) {
           tail.gap_max =
               std::max(tail.gap_max, info.incumbent_bound - info.objective);
@@ -396,7 +385,7 @@ ModeTail MeasureDegradationTail(const SyntheticDataset& data,
   return tail;
 }
 
-// --- phase 9: multi-client coalescing + fairness ----------------------------
+// --- phase 8: multi-client coalescing + fairness ----------------------------
 
 struct MultiClientRow {
   double rps = 0;
@@ -482,7 +471,6 @@ std::string ModeTailJson(const char* mode, const ModeTail& t) {
   out += "\",\"requests\":" + std::to_string(t.requests);
   out += ",\"answered\":" + std::to_string(t.answered);
   out += ",\"degraded\":" + std::to_string(t.degraded);
-  out += ",\"portfolio_greedy\":" + std::to_string(t.portfolio_greedy);
   out += ",\"deadline_exceeded\":" + std::to_string(t.deadline_exceeded);
   out += ",\"gap_max\":" + Fmt(t.gap_max, "%.6f");
   out += ",\"p50\":" + Fmt(t.p50, "%.6f");
@@ -608,10 +596,12 @@ int main() {
   tail_json += "}";
   AppendBenchJson("service", tail_json);
 
-  // --- phase 6: degraded-vs-strict tail latency ----------------------------
+  // --- phase 6: portfolio-vs-strict tail latency ---------------------------
   {
+    // Not scaled: below n≈150 the exact solve meets the deadline and the
+    // figure has nothing to show.
     SyntheticOptions gen;
-    gen.n = Scaled(150);
+    gen.n = 150;
     gen.d = 0.25;
     gen.v = 200;
     gen.seed = 93;
@@ -619,28 +609,29 @@ int main() {
     constexpr double kDeadline = 0.6;
     constexpr size_t kHardRequests = 6;
 
-    ModeTail strict = MeasureDegradationTail(
-        hard_data, DegradationMode::kStrict, kDeadline, kHardRequests);
-    ModeTail fallback = MeasureDegradationTail(
-        hard_data, DegradationMode::kFallbackGreedy, kDeadline,
-        kHardRequests);
+    ModeTail strict = MeasureDegradationTail(hard_data, /*portfolio=*/false,
+                                             kDeadline, kHardRequests);
+    ModeTail portfolio = MeasureDegradationTail(
+        hard_data, /*portfolio=*/true, kDeadline, kHardRequests);
 
-    std::printf("\ndegraded-vs-strict under a %.1fs deadline the exact "
+    std::printf("\nportfolio-vs-strict under a %.1fs deadline the exact "
                 "solve cannot meet (n=%zu, %zu requests/mode):\n",
                 kDeadline, gen.n, kHardRequests);
     TablePrinter deg_table({"mode", "answered", "degraded",
-                            "deadline exceeded", "p50", "p99", "max"});
+                            "deadline exceeded", "p50", "p99", "max",
+                            "bound gap"});
     for (const auto& entry :
          {std::pair<const char*, const ModeTail*>{"strict", &strict},
-          std::pair<const char*, const ModeTail*>{"fallback-greedy",
-                                                  &fallback}}) {
+          std::pair<const char*, const ModeTail*>{"portfolio",
+                                                  &portfolio}}) {
       const ModeTail& t = *entry.second;
       deg_table.AddRow(
           {entry.first,
            std::to_string(t.answered) + "/" + std::to_string(t.requests),
            std::to_string(t.degraded),
            std::to_string(t.deadline_exceeded), Fmt(t.p50, "%.4fs"),
-           Fmt(t.p99, "%.4fs"), Fmt(t.max, "%.4fs")});
+           Fmt(t.p99, "%.4fs"), Fmt(t.max, "%.4fs"),
+           Fmt(t.gap_max, "%.4f")});
     }
     deg_table.Print();
 
@@ -649,50 +640,11 @@ int main() {
     deg_json += ",\"n\":" + std::to_string(gen.n);
     deg_json += ",\"deadline_s\":" + Fmt(kDeadline, "%.3f");
     deg_json += ",\"modes\":[" + ModeTailJson("strict", strict) + "," +
-                ModeTailJson("fallback-greedy", fallback) + "]}";
+                ModeTailJson("portfolio", portfolio) + "]}";
     AppendBenchJson("service", deg_json);
-
-    // --- phase 7: portfolio-vs-strict tail latency -------------------------
-    // Same hard solve, same deadline, strict vs portfolio. The strict
-    // rows above double as this figure's baseline: both tails sit at
-    // ~deadline, but the portfolio answers every request with the
-    // greedy leg it computed up front, plus a bound certificate on how
-    // far that answer can be from the exact optimum.
-    ModeTail portfolio =
-        MeasureDegradationTail(hard_data, DegradationMode::kStrict, kDeadline,
-                               kHardRequests, /*portfolio=*/true);
-
-    std::printf("\nportfolio-vs-strict under the same %.1fs deadline "
-                "(answer rate at the strict p99):\n",
-                kDeadline);
-    TablePrinter pf_table({"mode", "answered", "portfolio greedy",
-                           "deadline exceeded", "p99", "max", "bound gap"});
-    pf_table.AddRow(
-        {"strict",
-         std::to_string(strict.answered) + "/" +
-             std::to_string(strict.requests),
-         "-", std::to_string(strict.deadline_exceeded),
-         Fmt(strict.p99, "%.4fs"), Fmt(strict.max, "%.4fs"), "-"});
-    pf_table.AddRow(
-        {"portfolio",
-         std::to_string(portfolio.answered) + "/" +
-             std::to_string(portfolio.requests),
-         std::to_string(portfolio.portfolio_greedy),
-         std::to_string(portfolio.deadline_exceeded),
-         Fmt(portfolio.p99, "%.4fs"), Fmt(portfolio.max, "%.4fs"),
-         Fmt(portfolio.gap_max, "%.4f")});
-    pf_table.Print();
-
-    std::string pf_json = "{\"figure\":\"service-portfolio-tail\"";
-    pf_json += ",\"scale\":" + Fmt(Scale(), "%.3g");
-    pf_json += ",\"n\":" + std::to_string(gen.n);
-    pf_json += ",\"deadline_s\":" + Fmt(kDeadline, "%.3f");
-    pf_json += ",\"modes\":[" + ModeTailJson("strict", strict) + "," +
-               ModeTailJson("portfolio", portfolio) + "]}";
-    AppendBenchJson("service", pf_json);
   }
 
-  // --- phase 8: warm restart off the persistence tier ----------------------
+  // --- phase 7: warm restart off the persistence tier ----------------------
   {
     const std::string dir =
         (std::filesystem::temp_directory_path() / "bench-warm-restart")
@@ -772,7 +724,7 @@ int main() {
     std::filesystem::remove_all(dir);
   }
 
-  // --- phase 9: multi-client coalescing + fairness --------------------------
+  // --- phase 8: multi-client coalescing + fairness --------------------------
   {
     MultiClientRow off = MeasureMultiClient(data, /*coalesce=*/false);
     MultiClientRow on = MeasureMultiClient(data, /*coalesce=*/true);

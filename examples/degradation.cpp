@@ -6,10 +6,11 @@
 // Demonstrates:
 //   1. strict mode: a deadline the exact solve cannot meet FAILS the
 //      request (kDeadlineExceeded) — the default, nothing silent;
-//   2. anytime fallback: the same request under
-//      DegradationMode::kFallbackGreedy returns a marked degraded()
-//      result INSIDE the deadline, with DegradationInfo accounting for
-//      the budget slices;
+//   2. portfolio: the same request under Explain3DConfig::portfolio
+//      runs the greedy baseline first and, when the deadline interrupts
+//      the exact solve, returns that answer marked degraded() INSIDE the
+//      deadline, with DegradationInfo accounting for the budget slices
+//      and bounding the optimality gap;
 //   3. retry: an injected transient fault (deterministic schedule from
 //      common/fault.h) recovered by RetryPolicy backoff;
 //   4. the service health state surfacing the pressure.
@@ -51,7 +52,7 @@ ExplanationRequest MakeRequest(const SyntheticDataset& data,
 
 // A request whose exact stage-2 solve runs far past any interactive
 // deadline (the examples/deadlines.cpp shape): only the deadline
-// machinery — or the anytime fallback — can produce an outcome.
+// machinery — or the portfolio's greedy leg — can produce an outcome.
 ExplanationRequest MakeHardRequest(const SyntheticDataset& data,
                                    DatabaseHandle h1, DatabaseHandle h2) {
   ExplanationRequest req = MakeRequest(data, h1, h2);
@@ -89,28 +90,30 @@ int main() {
                 StatusCodeName(r.status().code()));
   }
 
-  // --- 2. anytime fallback: a marked degraded answer, in time --------------
+  // --- 2. portfolio: a marked degraded answer, in time --------------------
   {
     ExplanationRequest req = MakeHardRequest(data, h1, h2);
     req.deadline_seconds = 0.4;
-    req.config.degradation_mode = DegradationMode::kFallbackGreedy;
+    req.config.portfolio = true;
     TicketPtr ticket = service.Submit(req);
     const Result<PipelineResult>& r = ticket->Wait();
     if (!r.ok()) {
-      std::printf("fallback: unexpected %s\n", r.status().ToString().c_str());
+      std::printf("portfolio: unexpected %s\n",
+                  r.status().ToString().c_str());
       return 1;
     }
     const DegradationInfo& d = r.value().degradation();
-    std::printf("fallback @ 0.4s deadline: ok, degraded=%s\n",
+    std::printf("portfolio @ 0.4s deadline: ok, degraded=%s\n",
                 r.value().degraded() ? "true" : "false");
-    std::printf("  solver=%s interrupt=%s\n",
-                d.solver == DegradationInfo::Solver::kGreedyFallback
-                    ? "greedy-fallback"
+    std::printf("  solver=%s interrupt=%s bound-gap=%.4f\n",
+                d.solver == DegradationInfo::Solver::kGreedyPortfolio
+                    ? "greedy-portfolio"
                     : "exact",
-                StatusCodeName(d.interrupt_code));
+                StatusCodeName(d.interrupt_code),
+                d.incumbent_bound - d.objective);
     std::printf(
         "  budget=%.3fs reserved=%.3fs exact-attempt=%.3fs "
-        "fallback=%.4fs\n",
+        "greedy=%.4fs\n",
         d.budget_seconds, d.reserved_seconds, d.exact_seconds,
         d.fallback_seconds);
     std::printf("  explanations=%zu log-probability=%.4f (objective %.4f)\n",

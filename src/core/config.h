@@ -9,28 +9,6 @@
 
 namespace explain3d {
 
-/// \brief What RunExplain3D returns when its stage-2 budget (request
-/// deadline or Explain3DConfig::milp_time_limit_seconds) interrupts the
-/// exact solve.
-enum class DegradationMode {
-  /// An interrupted solve FAILS the call with the token's Status
-  /// (kDeadlineExceeded / kCancelled) and returns nothing — every result
-  /// that IS returned is the bit-identical exact optimum. The default,
-  /// and the semantics of every release before degradation existed.
-  kStrict = 0,
-  /// Anytime fallback: a slice of the stage-2 budget
-  /// (Explain3DConfig::fallback_budget_fraction) is reserved up front;
-  /// the exact solve runs under the remainder, and when that remainder
-  /// interrupts it — a fired DEADLINE or BUDGET, never a user cancel —
-  /// the greedy baseline (Section 5.1.3) runs on the already-built
-  /// stage-1 artifacts inside the reserved slice. The result is
-  /// explicitly marked PipelineResult::degraded() with quality metadata
-  /// (DegradationInfo); a degraded answer is never a silent substitute
-  /// for an exact one. Fast solves that finish inside the budget are
-  /// bit-identical to kStrict.
-  kFallbackGreedy = 1,
-};
-
 /// \brief All tunables of the 3-stage pipeline and the Section-4
 /// optimizer.
 ///
@@ -74,24 +52,13 @@ struct Explain3DConfig {
   /// time-truncated incumbent — results are therefore bit-identical
   /// however slowly the machine runs (the old per-component wall-clock
   /// fallback path, which silently switched solvers under load, is
-  /// gone). Prefer per-request deadlines (ExplanationRequest::
+  /// gone); only `portfolio` turns a blown budget into a marked answer.
+  /// Prefer per-request deadlines (ExplanationRequest::
   /// deadline_seconds) on the serving path.
   double milp_time_limit_seconds = 0;
   size_t milp_max_nodes = 50000;
   /// Node limit of the specialized component solver.
   size_t exact_max_nodes = 4000000;
-
-  // --- graceful degradation (anytime serving) ---
-  /// See DegradationMode. Only consulted when the stage-2 budget is
-  /// finite (a request deadline or milp_time_limit_seconds is set);
-  /// unbounded calls always run the exact solve to completion.
-  DegradationMode degradation_mode = DegradationMode::kStrict;
-  /// Fraction of the stage-2 budget withheld from the exact solve and
-  /// reserved for the greedy fallback under kFallbackGreedy, so a
-  /// degraded answer still arrives INSIDE the caller's deadline. The
-  /// greedy pass is O(m log m) over the initial mapping — milliseconds —
-  /// so a thin slice suffices.
-  double fallback_budget_fraction = 0.15;
 
   // --- stage-2 solver program (warm starts + portfolio, ROADMAP 2) ---
   /// Consult and maintain the MatchingContext's warm-start incumbent
@@ -102,16 +69,17 @@ struct Explain3DConfig {
   /// cold ones; a stale or mismatched record is skipped, never trusted.
   /// No effect without a MatchingContext in PipelineInput.
   bool warm_start = true;
-  /// Portfolio mode: run the greedy baseline FIRST (milliseconds), use
-  /// its per-unit objectives as live incumbent floors for the exact
-  /// solve, and — when the stage-2 budget interrupts the exact attempt —
-  /// return the greedy answer marked degraded
-  /// (DegradationInfo::Solver::kGreedyPortfolio) with the interrupted
-  /// search's admissible incumbent_bound. Subsumes kFallbackGreedy
-  /// (no reserved budget slice needed: the fallback answer already
-  /// exists when the exact solve starts) and takes precedence over
-  /// degradation_mode when set. Exact solves that finish in budget
-  /// return bit-identical results to a strict run.
+  /// Portfolio mode, the one anytime mode: run the greedy baseline
+  /// (Section 5.1.3) FIRST (milliseconds), use its per-unit objectives
+  /// as live incumbent floors for the exact solve, and — when the
+  /// stage-2 budget (a request deadline or milp_time_limit_seconds)
+  /// interrupts the exact attempt — return the greedy answer marked
+  /// PipelineResult::degraded() (DegradationInfo::Solver::
+  /// kGreedyPortfolio) with the interrupted search's admissible
+  /// incumbent_bound. Only a fired budget degrades: a user cancel still
+  /// fails the call, and unbounded calls run the exact solve to
+  /// completion. Exact solves that finish in budget return bit-identical
+  /// results to a strict (false) run, which fails a blown budget.
   bool portfolio = false;
 
   // --- parallelism ---

@@ -259,8 +259,7 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
     // concurrently with the exact leg, so the race cannot perturb
     // results): the fallback answer already exists when the exact solve
     // starts, and its per-unit scores seed the exact search as live
-    // prune-only floors. Subsumes kFallbackGreedy without a reserved
-    // budget slice.
+    // prune-only floors.
     Timer fallback_timer;
     ProbabilityModel prob(config);
     ExplanationSet greedy =
@@ -303,9 +302,9 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
       // greedy floor sits provably below the optimum).
       out.core_ = std::move(exact).value();
     } else {
-      // Same policy as kFallbackGreedy: degrade ONLY on the child
-      // budget's kDeadlineExceeded with a live parent; a fired parent or
-      // any other failure propagates.
+      // Degrade ONLY on the child budget's kDeadlineExceeded with a live
+      // parent: a fired parent (the user's cancel or end-to-end deadline)
+      // or any other failure propagates.
       E3D_RETURN_IF_ERROR(CheckCancel(input.cancel));
       if (exact.status().code() != StatusCode::kDeadlineExceeded) {
         return exact.status();
@@ -325,75 +324,11 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
       deg.objective = out.core_.explanations.log_probability;
       deg.incumbent_bound = incumbent_bound;
     }
-  } else if (config.degradation_mode == DegradationMode::kStrict ||
-             !std::isfinite(budget)) {
-    // Strict (or unbounded) semantics: an interrupted solve fails the
-    // call with the token's Status — bit-identical to pre-degradation
-    // behavior.
+  } else {
+    // Strict semantics: an interrupted solve fails the call with the
+    // token's Status.
     Explain3DSolver solver(config);
     E3D_ASSIGN_OR_RETURN(out.core_, solver.Solve(core_input));
-  } else {
-    // Anytime fallback (kFallbackGreedy, finite budget): withhold a
-    // slice for the greedy fallback and run the exact solve under the
-    // remainder via a child token — a child can only TIGHTEN its
-    // parent's budget, and a fired parent still wins every poll.
-    double reserved =
-        std::max(0.0, budget * config.fallback_budget_fraction);
-    double exact_budget = budget - reserved;
-    Result<Explain3DResult> exact = Status::DeadlineExceeded(
-        "stage-2 budget consumed before the exact solve started");
-    double incumbent_bound = std::numeric_limits<double>::quiet_NaN();
-    Timer exact_timer;
-    if (exact_budget > 0) {
-      // The budget (which already folded the config limit in) moves
-      // into the child token; zero the config limit so the solver does
-      // not stack a second, un-sliced deadline on top.
-      Explain3DConfig exact_config = config;
-      exact_config.milp_time_limit_seconds = 0;
-      CancelToken exact_token(exact_budget, input.cancel);
-      Explain3DInput exact_input = core_input;
-      exact_input.cancel = &exact_token;
-      exact_input.incumbent_bound_out = &incumbent_bound;
-      exact = Explain3DSolver(exact_config).Solve(exact_input);
-    }
-    double exact_seconds = exact_timer.Seconds();
-
-    if (exact.ok()) {
-      out.core_ = std::move(exact).value();
-    } else {
-      // Degrade ONLY on an interrupted-by-budget solve. A fired parent
-      // token means the USER's cancel or end-to-end deadline — fail the
-      // call with its status (never hand back a degraded result the
-      // caller no longer wants or can no longer use in time); any other
-      // code is a real failure and propagates.
-      E3D_RETURN_IF_ERROR(CheckCancel(input.cancel));
-      if (exact.status().code() != StatusCode::kDeadlineExceeded) {
-        return exact.status();
-      }
-      // The reserved slice's turn: greedy baseline (Section 5.1.3) over
-      // the complete stage-1 artifacts and initial mapping. Explicitly
-      // marked — a degraded answer is never a silent substitute.
-      Timer fallback_timer;
-      ProbabilityModel prob(config);
-      ExplanationSet greedy =
-          GreedyBaseline(art.t1, art.t2, out.initial_mapping_, attr, prob);
-      greedy.log_probability =
-          prob.Score(art.t1, art.t2, out.initial_mapping_, greedy);
-      out.core_ = Explain3DResult();
-      out.core_.explanations = std::move(greedy);
-      out.core_.stats.all_optimal = false;
-      out.core_.stats.solve_seconds = stage2_timer.Seconds();
-      DegradationInfo& deg = out.degradation_;
-      deg.degraded = true;
-      deg.solver = DegradationInfo::Solver::kGreedyFallback;
-      deg.interrupt_code = exact.status().code();
-      deg.budget_seconds = budget;
-      deg.reserved_seconds = reserved;
-      deg.exact_seconds = exact_seconds;
-      deg.fallback_seconds = fallback_timer.Seconds();
-      deg.objective = out.core_.explanations.log_probability;
-      deg.incumbent_bound = incumbent_bound;
-    }
   }
   out.stage2_seconds_ = stage2_timer.Seconds();
 
@@ -458,15 +393,12 @@ std::string RequestResultKey(const std::string& db_identity,
       static_cast<unsigned long long>(storage::Checksum64(
           packed.data(), packed.size() * sizeof(uint64_t))));
   key += Stage2ConfigTag(config);
-  // Degradation/budget knobs (excluded from the incumbent tag because
-  // incumbents only record fully-optimal runs) DO shape what a budgeted
-  // run returns — and so does the portfolio switch. Coalescing errs
+  // Budget knobs (excluded from the incumbent tag because incumbents
+  // only record fully-optimal runs) DO shape what a budgeted run
+  // returns — and so does the portfolio switch. Coalescing errs
   // conservative: a knob that could matter splits keys.
-  key += StrFormat(
-      "|d:m%d|fb%.17g|tl%.17g|ws%d|pf%d",
-      static_cast<int>(config.degradation_mode),
-      config.fallback_budget_fraction, config.milp_time_limit_seconds,
-      config.warm_start ? 1 : 0, config.portfolio ? 1 : 0);
+  key += StrFormat("|tl%.17g|ws%d|pf%d", config.milp_time_limit_seconds,
+                   config.warm_start ? 1 : 0, config.portfolio ? 1 : 0);
   return key;
 }
 

@@ -101,18 +101,17 @@ using CalibrationOracle =
                             const Table&)>;
 
 /// \brief Quality metadata of a degraded result (see
-/// Explain3DConfig::degradation_mode and Explain3DConfig::portfolio).
-/// Default state = not degraded; only a kFallbackGreedy or portfolio run
-/// whose exact solve was interrupted by its budget populates the rest.
+/// Explain3DConfig::portfolio). Default state = not degraded; only a
+/// portfolio run whose exact solve was interrupted by its budget
+/// populates the rest.
 struct DegradationInfo {
   /// Which solver produced PipelineResult::core().explanations.
   enum class Solver {
-    kExact,           ///< the optimal Section-3.2/4 solver ran to completion
-    kGreedyFallback,  ///< the Section-5.1.3 greedy baseline (anytime path)
+    kExact,  ///< the optimal Section-3.2/4 solver ran to completion
     /// The portfolio race's greedy leg (Explain3DConfig::portfolio): the
-    /// greedy answer was computed BEFORE the exact attempt (whose search
-    /// it seeded as a pruning floor) and is returned because the budget
-    /// interrupted that attempt.
+    /// Section-5.1.3 greedy answer was computed BEFORE the exact attempt
+    /// (whose search it seeded as a pruning floor) and is returned
+    /// because the budget interrupted that attempt.
     kGreedyPortfolio,
   };
 
@@ -125,9 +124,9 @@ struct DegradationInfo {
 
   // --- budget-slice accounting (seconds) ---
   double budget_seconds = 0;    ///< stage-2 budget observed at solve start
-  double reserved_seconds = 0;  ///< slice withheld for the fallback
+  double reserved_seconds = 0;  ///< slice withheld from the exact attempt
   double exact_seconds = 0;     ///< spent in the abandoned exact attempt
-  double fallback_seconds = 0;  ///< spent in the greedy fallback itself
+  double fallback_seconds = 0;  ///< spent in the greedy leg itself
 
   /// Objective (Eq. 6 log-probability) of the returned fallback
   /// explanations — equals core().explanations.log_probability.
@@ -203,10 +202,9 @@ class PipelineResult {
   /// explanations as the optimum.
   const Explain3DResult& core() const { return core_; }
 
-  /// True when the explanations came from the anytime greedy fallback
-  /// instead of the exact solver (kFallbackGreedy or portfolio mode; see
-  /// Explain3DConfig::degradation_mode / ::portfolio). Never silently
-  /// true: strict mode and in-budget runs report false.
+  /// True when the explanations came from the portfolio's greedy leg
+  /// instead of the exact solver (see Explain3DConfig::portfolio). Never
+  /// silently true: strict mode and in-budget runs report false.
   bool degraded() const { return degradation_.degraded; }
   /// Quality metadata of a degraded result (budget-slice accounting,
   /// fallback solver, interrupt reason).
@@ -271,7 +269,7 @@ std::string Stage2ConfigTag(const Explain3DConfig& config);
 /// The stage-1 cache key (database-pair content identity + queries +
 /// attribute match + blocking) extended with EVERY remaining
 /// result-affecting input — the full mapping options, the calibration
-/// gold labels (hashed), and the stage-2/degradation config. Equal keys
+/// gold labels (hashed), and the stage-2/budget config. Equal keys
 /// guarantee bit-identical PipelineResults, which is what lets
 /// Explain3DService resolve concurrent identical requests from ONE
 /// computation. Thread counts are excluded (bit-identical across them).

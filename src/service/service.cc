@@ -452,16 +452,16 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
       }
       if (!quota_reject && !admission_reject) {
         // Overload relief valve: when the service is kOverloaded, flip
-        // an incoming deadline-carrying kStrict request to the greedy
-        // fallback BEFORE it queues, so it can still answer inside its
-        // deadline instead of expiring empty-handed in the backlog. The
-        // result stays explicitly marked degraded().
+        // an incoming deadline-carrying strict request to the portfolio
+        // BEFORE it queues, so it can still answer inside its deadline
+        // instead of expiring empty-handed in the backlog. The result
+        // stays explicitly marked degraded(). Its coalescing key names
+        // the strict config, so a flipped request leads no group.
         if (options_.auto_fallback_on_overload && deadline > 0 &&
-            ticket->request_.config.degradation_mode ==
-                DegradationMode::kStrict &&
+            !ticket->request_.config.portfolio &&
             EvaluateHealthLocked() == ServiceHealth::kOverloaded) {
-          ticket->request_.config.degradation_mode =
-              DegradationMode::kFallbackGreedy;
+          ticket->request_.config.portfolio = true;
+          coalesce_key.clear();
           auto_degraded_.fetch_add(1);
         }
         ticket->seq_ = next_seq_++;
@@ -841,7 +841,7 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   } else {
     counters_->completed.fetch_add(1);
     // Solver split (completed == exact + degraded): OK results marked
-    // degraded() came from the greedy fallback; everything else —
+    // degraded() came from the portfolio's greedy leg; everything else —
     // including failed completions — counts as the exact path.
     if (outcome.ok() && outcome.value().degraded()) {
       counters_->degraded.fetch_add(1);

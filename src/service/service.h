@@ -204,7 +204,7 @@ struct ServiceCounters {
   std::atomic<size_t> coalesced_hits{0};
   std::atomic<size_t> failed{0};    ///< subset of completed (non-OK result)
   std::atomic<size_t> exact{0};     ///< completed via the exact solver
-  std::atomic<size_t> degraded{0};  ///< completed OK via the greedy fallback
+  std::atomic<size_t> degraded{0};  ///< completed OK via the greedy leg
   std::atomic<size_t> retries{0};   ///< transient-failure re-attempts run
   /// Solve units seeded from a fingerprint-matched warm-start incumbent
   /// (summed Explain3DStats::warm_start_hits of OK completions). Not part
@@ -365,8 +365,8 @@ struct ServiceStats {
   // Resilience.
   size_t retries = 0;         ///< transient-failure re-attempts run
   size_t watchdog_fires = 0;  ///< tokens the watchdog fired (stalled polls)
-  /// Requests whose config was auto-switched to kFallbackGreedy at
-  /// Submit because the service was kOverloaded (see
+  /// Strict requests whose config was auto-switched to the portfolio
+  /// at Submit because the service was kOverloaded (see
   /// ServiceOptions::auto_fallback_on_overload).
   size_t auto_degraded = 0;
   /// Injected-fault fires observed process-wide (FaultInjector counter;
@@ -513,13 +513,13 @@ struct ServiceOptions {
   /// <= 0 disables the thread.
   double watchdog_interval_seconds = 0.05;
   /// When the service is kOverloaded at Submit, flip an incoming
-  /// deadline-carrying kStrict request to
-  /// DegradationMode::kFallbackGreedy, so it can still answer inside its
-  /// deadline with the greedy fallback instead of joining the backlog
-  /// and expiring empty-handed. Counted in ServiceStats::auto_degraded;
-  /// results stay explicitly marked degraded(). Requests that carry no
-  /// deadline, or whose config already left kStrict, are never touched.
-  /// false = never override a request's config.
+  /// deadline-carrying strict request to Explain3DConfig::portfolio, so
+  /// it can still answer inside its deadline with the greedy leg
+  /// instead of joining the backlog and expiring empty-handed. Counted
+  /// in ServiceStats::auto_degraded; results stay explicitly marked
+  /// degraded(), and a flipped request never leads a coalescing group.
+  /// Requests that carry no deadline, or are already portfolio, are
+  /// never touched. false = never override a request's config.
   bool auto_fallback_on_overload = true;
   /// Queue-depth multiples of max_concurrency at which health leaves
   /// kHealthy (see ServiceHealth): depth >= degrade_queue_factor × W is

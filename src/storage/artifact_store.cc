@@ -16,7 +16,6 @@ namespace {
 constexpr char kManifestMagic[8] = {'E', '3', 'D', 'M', 'A', 'N', 'I', '1'};
 constexpr uint32_t kManifestVersion = 1;
 constexpr const char* kManifestName = "MANIFEST";
-constexpr const char* kCommitLogName = "commit.log";
 constexpr const char* kIncumbentsName = "incumbents.e3di";
 constexpr const char* kArtifactPrefix = "art-";
 constexpr const char* kArtifactSuffix = ".e3ds";
@@ -98,7 +97,6 @@ Result<ArtifactStore> ArtifactStore::Open(const std::string& dir) {
   E3D_RETURN_IF_ERROR(EnsureDirectory(dir));
   ArtifactStore store(dir);
   E3D_RETURN_IF_ERROR(store.LoadManifest());
-  E3D_RETURN_IF_ERROR(store.RecoverCommitLog());
   // Seed the staged incumbent map from the committed file so a partial
   // update rewrites the union, not just the delta.
   E3D_ASSIGN_OR_RETURN(auto committed, store.LoadIncumbents());
@@ -117,44 +115,6 @@ Status ArtifactStore::LoadManifest() {
   if (!FileExists(path)) return Status::OK();  // fresh store
   E3D_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
   return DecodeManifest(bytes, &commit_seq_, &manifest_);
-}
-
-Status ArtifactStore::RecoverCommitLog() {
-  const std::string path = PathOf(kCommitLogName);
-  if (FileExists(path)) {
-    E3D_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-    // Records: {u32 length, u64 checksum, payload}. Scan forward; the
-    // first record that does not parse or verify is a torn tail from a
-    // crashed append — truncate the log back to the last good record.
-    size_t good = 0;
-    size_t pos = 0;
-    while (bytes.size() - pos >= 12) {
-      uint32_t len = 0;
-      uint64_t checksum = 0;
-      std::memcpy(&len, bytes.data() + pos, 4);
-      std::memcpy(&checksum, bytes.data() + pos + 4, 8);
-      if (len > bytes.size() - pos - 12) break;
-      if (Checksum64(bytes.data() + pos + 12, len) != checksum) break;
-      if (len >= 8) {
-        std::memcpy(&log_seq_, bytes.data() + pos + 12, 8);
-      }
-      pos += 12 + len;
-      good = pos;
-    }
-    if (good != bytes.size()) {
-      E3D_RETURN_IF_ERROR(WriteFileAtomic(path, bytes.data(), good));
-    }
-  }
-  // Reconcile the audit trail with the source of truth: the record is
-  // appended AFTER the manifest rename, so a crash in that window (or a
-  // lost brand-new log file) leaves the log one commit behind — or gone
-  // entirely — for a commit that WAS acked. Re-synthesize the missing
-  // record from the manifest; intermediate lost history is gone for
-  // good, but the log's tail always names the committed state.
-  if (commit_seq_ > 0 && log_seq_ < commit_seq_) {
-    return AppendCommitRecord();
-  }
-  return Status::OK();
 }
 
 Status ArtifactStore::PutArtifacts(const std::string& key,
@@ -205,31 +165,6 @@ Status ArtifactStore::Commit() {
   manifest_ = std::move(next);
   commit_seq_ = next_seq;
   staged_.clear();
-
-  // Audit record; appended (durably — file and directory entry are both
-  // fsynced) after the commit point, so a failure here loses only log
-  // history, never state — and the next Open re-synthesizes the record
-  // from the manifest (RecoverCommitLog).
-  return AppendCommitRecord();
-}
-
-Status ArtifactStore::AppendCommitRecord() {
-  ByteWriter w;
-  w.PutU64(commit_seq_);
-  w.PutU32(static_cast<uint32_t>(manifest_.size()));
-  for (const auto& [name, e] : manifest_) w.PutString(name);
-  std::vector<uint8_t> payload = w.Take();
-  std::vector<uint8_t> record(12 + payload.size(), 0);
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint64_t checksum = Checksum64(payload.data(), payload.size());
-  std::memcpy(record.data(), &len, 4);
-  std::memcpy(record.data() + 4, &checksum, 8);
-  if (!payload.empty()) {
-    std::memcpy(record.data() + 12, payload.data(), payload.size());
-  }
-  E3D_RETURN_IF_ERROR(AppendToFile(PathOf(kCommitLogName), record.data(),
-                                   record.size()));
-  log_seq_ = commit_seq_;
   return Status::OK();
 }
 
@@ -294,7 +229,7 @@ Result<size_t> ArtifactStore::GarbageCollect() {
                        ListDirectoryFiles(dir_));
   size_t removed = 0;
   for (const std::string& name : names) {
-    if (name == kManifestName || name == kCommitLogName) continue;
+    if (name == kManifestName) continue;
     if (manifest_.count(name) > 0 || staged_.count(name) > 0) continue;
     E3D_RETURN_IF_ERROR(RemoveFileIfExists(PathOf(name)));
     ++removed;
@@ -305,12 +240,11 @@ Result<size_t> ArtifactStore::GarbageCollect() {
 Result<StoreInfo> ArtifactStore::Info() const {
   StoreInfo info;
   info.commit_seq = commit_seq_;
-  info.log_seq = log_seq_;
   for (const auto& [name, e] : manifest_) info.files.push_back(e);
   E3D_ASSIGN_OR_RETURN(std::vector<std::string> names,
                        ListDirectoryFiles(dir_));
   for (const std::string& name : names) {
-    if (name == kManifestName || name == kCommitLogName) continue;
+    if (name == kManifestName) continue;
     if (manifest_.count(name) == 0) ++info.orphan_files;
   }
   return info;

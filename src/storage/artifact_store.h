@@ -4,26 +4,17 @@
 //   MANIFEST        committed state: the list of live files with sizes
 //                   and whole-file checksums, itself checksummed and
 //                   replaced only by atomic rename — the commit point.
-//   commit.log      append-only history of commits (checksummed records;
-//                   a torn tail from a crash mid-append is detected and
-//                   truncated on open). Audit trail; the manifest is the
-//                   source of truth. Appends are fsynced (file AND
-//                   directory entry), and open reconciles the log with
-//                   the manifest: when a crash lost the record of an
-//                   acked commit (the append lands after the rename
-//                   commit point), the missing record is re-synthesized
-//                   from the manifest, so a reopened store always has
-//                   last_log_seq() == commit_seq().
 //   art-<hex>.e3ds  one Stage1Artifacts snapshot (storage/snapshot.h),
 //                   named by the checksum of its cache key.
 //   incumbents.e3di the solver-incumbent records, rewritten per commit.
 //   *.tmp           in-flight atomic writes; ignored by open, removed
-//                   by GarbageCollect.
+//                   by GarbageCollect (as is any other file the manifest
+//                   does not name).
 //
 // Write protocol: PutArtifacts/PutIncumbents write (or stage) data files
-// via WriteFileAtomic, then Commit() writes the incumbent file, the new
-// MANIFEST (write tmp → fsync → rename → fsync dir), and appends a
-// commit record to the log. A crash at ANY point leaves the previous
+// via WriteFileAtomic, then Commit() writes the incumbent file and the
+// new MANIFEST (write tmp → fsync → rename → fsync dir); that rename is
+// the only commit point. A crash at ANY point leaves the previous
 // manifest intact, so a reopened store sees the last committed state;
 // data files not yet named by a manifest are invisible and reclaimed by
 // GC. The storage.write / storage.fsync / storage.rename fault probes
@@ -61,7 +52,6 @@ struct ManifestEntry {
 /// Inspection summary (the CLI `inspect` path).
 struct StoreInfo {
   uint64_t commit_seq = 0;              ///< last committed sequence number
-  uint64_t log_seq = 0;                 ///< last commit-log record's sequence
   std::vector<ManifestEntry> files;     ///< committed files, manifest order
   size_t orphan_files = 0;              ///< on-disk files not in the manifest
 };
@@ -69,8 +59,7 @@ struct StoreInfo {
 class ArtifactStore {
  public:
   /// Opens (creating if needed) the store at `dir`: loads the committed
-  /// manifest, truncates a torn commit-log tail, and fails with
-  /// kCorruption when the manifest itself is damaged.
+  /// manifest, and fails with kCorruption when it is damaged.
   static Result<ArtifactStore> Open(const std::string& dir);
 
   ArtifactStore(ArtifactStore&&) = default;
@@ -85,8 +74,8 @@ class ArtifactStore {
   void PutIncumbents(const std::string& key, const SolverIncumbents& inc);
 
   /// Publishes everything staged since the last commit: writes the
-  /// incumbent file, atomically replaces MANIFEST, appends a commit-log
-  /// record. On failure the previously committed state is still intact.
+  /// incumbent file and atomically replaces MANIFEST. On failure the
+  /// previously committed state is still intact.
   Status Commit();
 
   /// Decodes every committed artifact snapshot (mmap + checksum verify).
@@ -111,25 +100,15 @@ class ArtifactStore {
 
   const std::string& dir() const { return dir_; }
   uint64_t commit_seq() const { return commit_seq_; }
-  /// Sequence number of the last commit-log record (0 with no log).
-  /// Open() reconciles the log against the manifest, so on a freshly
-  /// opened store this always equals commit_seq() — the crash-sweep
-  /// test's log/manifest-agreement assertion.
-  uint64_t last_log_seq() const { return log_seq_; }
 
  private:
   explicit ArtifactStore(std::string dir) : dir_(std::move(dir)) {}
 
   Status LoadManifest();
-  Status RecoverCommitLog();
-  /// Encodes + appends the audit record of the CURRENT committed state
-  /// (commit_seq_, manifest_ file list); advances log_seq_ on success.
-  Status AppendCommitRecord();
   std::string PathOf(const std::string& file) const;
 
   std::string dir_;
   uint64_t commit_seq_ = 0;
-  uint64_t log_seq_ = 0;  ///< seq of the last good commit-log record
   /// Committed state: file name -> {size, checksum}.
   std::map<std::string, ManifestEntry> manifest_;
   /// Staged but uncommitted artifact files (already on disk, unnamed by

@@ -144,33 +144,6 @@ Status WriteFileAtomic(const std::string& path, const void* data, size_t len) {
   return FsyncDirectoryOf(path);
 }
 
-Status AppendToFile(const std::string& path, const void* data, size_t len) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return ErrnoStatus("open", path);
-  if (FAULT_FIRED("storage.write")) {
-    Status ignored = WriteAll(fd, path, data, len / 2);
-    (void)ignored;
-    ::close(fd);
-    return Status::IOError("injected torn append for '" + path + "'");
-  }
-  Status st = WriteAll(fd, path, data, len);
-  if (st.ok()) {
-    if (FAULT_FIRED("storage.fsync")) {
-      st = Status::IOError("injected fsync failure for '" + path + "'");
-    } else {
-      st = FsyncFd(fd, path);
-    }
-  }
-  ::close(fd);
-  E3D_RETURN_IF_ERROR(st);
-  // The fd fsync above makes the BYTES durable, but when O_CREAT just
-  // created the file its directory entry is not: a crash could drop the
-  // whole file even though the append was acked. Pinning the directory
-  // on every append (not only the creating one — telling them apart
-  // races other writers) keeps acked appends durable.
-  return FsyncDirectoryOf(path);
-}
-
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return ErrnoStatus("open", path);

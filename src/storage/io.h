@@ -1,5 +1,5 @@
-// Low-level file I/O for the persistence tier: atomic whole-file writes,
-// durable appends, and read-only memory mappings.
+// Low-level file I/O for the persistence tier: atomic whole-file writes
+// and read-only memory mappings.
 //
 // Crash-consistency protocol (write side):
 //   1. write the full payload to `<path>.tmp`
@@ -65,12 +65,7 @@ class MmapFile {
 /// On any failure the previous contents of `path` (if any) are intact.
 Status WriteFileAtomic(const std::string& path, const void* data, size_t len);
 
-/// Appends `len` bytes to `path` (creating it) and fsyncs. Used by the
-/// commit log; a torn append is detected by the reader via record
-/// checksums, not prevented here.
-Status AppendToFile(const std::string& path, const void* data, size_t len);
-
-/// Reads a whole file into memory (for small files: manifest, commit log).
+/// Reads a whole file into memory (for small files: manifest, incumbents).
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 
 /// Creates `dir` (and parents). OK when it already exists as a directory.

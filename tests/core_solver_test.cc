@@ -398,10 +398,9 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
                                 theta_high, reward, use_pre_partitioning,
                                 decompose_components, seed,
                                 milp_max_constraints, milp_time_limit_seconds,
-                                milp_max_nodes, exact_max_nodes,
-                                degradation_mode, fallback_budget_fraction,
-                                warm_start, portfolio, num_threads,
-                                cache_budget_bytes] = defaults;
+                                milp_max_nodes, exact_max_nodes, warm_start,
+                                portfolio, num_threads, cache_budget_bytes] =
+      defaults;
 
   struct Row {
     const char* field;
@@ -430,17 +429,10 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
        true},
       {"exact_max_nodes",
        [](Explain3DConfig* c) { c->exact_max_nodes = 100; }, true},
-      // Degradation only replaces a failed call; records are taken from
-      // fully-optimal runs alone.
-      {"degradation_mode",
-       [](Explain3DConfig* c) {
-         c->degradation_mode = DegradationMode::kFallbackGreedy;
-       },
-       false},
-      {"fallback_budget_fraction",
-       [](Explain3DConfig* c) { c->fallback_budget_fraction = 0.3; }, false},
       // Bit-identity contract: warm starts, the portfolio's floors, thread
-      // counts, and the cache budget never change an answer.
+      // counts, and the cache budget never change an answer (a degraded
+      // portfolio answer only replaces a failed call, and records are
+      // taken from fully-optimal runs alone).
       {"warm_start", [](Explain3DConfig* c) { c->warm_start = false; }, false},
       {"portfolio", [](Explain3DConfig* c) { c->portfolio = true; }, false},
       {"num_threads", [](Explain3DConfig* c) { c->num_threads = 3; }, false},

@@ -1,11 +1,11 @@
 // Graceful-degradation suite: the fault-injection spec language, the
-// anytime greedy fallback (Explain3DConfig::degradation_mode), the
-// service retry/backoff policy, the health state machine, and the
-// wall-clock watchdog.
+// anytime greedy fallback (Explain3DConfig::portfolio), the service
+// retry/backoff policy, the health state machine, and the wall-clock
+// watchdog.
 //
 // Contract under test: pressure NEVER produces a silent wrong answer.
 // Either the exact result arrives, or the call fails with the caller's
-// status, or — only when the caller opted into kFallbackGreedy — an
+// status, or — only when the request runs in portfolio mode — an
 // explicitly-marked degraded result arrives carrying its quality
 // metadata. A user cancel always wins over a fallback.
 
@@ -174,7 +174,7 @@ TEST(DegradationTest, FallbackReturnsMarkedDegradedResultWithinBudget) {
   SyntheticDataset data = DegradeTestData(51);
   PipelineInput input = HardInput(data);
   Explain3DConfig config = HardSolveConfig();
-  config.degradation_mode = DegradationMode::kFallbackGreedy;
+  config.portfolio = true;
 
   CancelToken deadline(0.5);
   input.cancel = &deadline;
@@ -187,15 +187,14 @@ TEST(DegradationTest, FallbackReturnsMarkedDegradedResultWithinBudget) {
   // Explicitly marked, never silent.
   EXPECT_TRUE(r.value().degraded());
   const DegradationInfo& deg = r.value().degradation();
-  EXPECT_EQ(deg.solver, DegradationInfo::Solver::kGreedyFallback);
+  EXPECT_EQ(deg.solver, DegradationInfo::Solver::kGreedyPortfolio);
   EXPECT_EQ(deg.interrupt_code, StatusCode::kDeadlineExceeded);
   // Budget-slice accounting: the budget is the token's remaining time at
-  // stage-2 entry (≤ 0.5s), the reserved slice is its configured
-  // fraction, and the exact solve never ran past its share.
+  // stage-2 entry (≤ 0.5s), the reserved slice is 2% of it, and the
+  // exact solve never ran past its share.
   EXPECT_GT(deg.budget_seconds, 0.0);
   EXPECT_LE(deg.budget_seconds, 0.5 + 1e-9);
-  EXPECT_NEAR(deg.reserved_seconds,
-              deg.budget_seconds * config.fallback_budget_fraction, 1e-12);
+  EXPECT_NEAR(deg.reserved_seconds, deg.budget_seconds * 0.02, 1e-12);
   EXPECT_GT(deg.exact_seconds, 0.0);
   EXPECT_GT(deg.fallback_seconds, 0.0);
   EXPECT_EQ(deg.objective, r.value().core().explanations.log_probability);
@@ -215,7 +214,7 @@ TEST(DegradationTest, ConfigBudgetAloneTriggersFallback) {
   SyntheticDataset data = DegradeTestData(52);
   PipelineInput input = HardInput(data);
   Explain3DConfig config = HardSolveConfig();
-  config.degradation_mode = DegradationMode::kFallbackGreedy;
+  config.portfolio = true;
   config.milp_time_limit_seconds = 0.3;
   Result<PipelineResult> r = RunExplain3D(input, config);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -227,7 +226,7 @@ TEST(DegradationTest, UserCancelAlwaysWinsOverFallback) {
   SyntheticDataset data = DegradeTestData(53);
   PipelineInput input = HardInput(data);
   Explain3DConfig config = HardSolveConfig();
-  config.degradation_mode = DegradationMode::kFallbackGreedy;
+  config.portfolio = true;
   config.milp_time_limit_seconds = 30.0;
 
   // The oracle runs after stage-1 artifacts and before the solve; firing
@@ -251,7 +250,7 @@ TEST(DegradationTest, DegradedResultMatchesDirectGreedyBaseline) {
   SyntheticDataset data = DegradeTestData(54, 40);
   PipelineInput input = HardInput(data);
   Explain3DConfig config = HardSolveConfig();
-  config.degradation_mode = DegradationMode::kFallbackGreedy;
+  config.portfolio = true;
   CancelToken deadline(0.4);
   input.cancel = &deadline;
   Result<PipelineResult> r = RunExplain3D(input, config);
@@ -277,7 +276,7 @@ TEST(DegradationTest, DegradedResultMatchesDirectGreedyBaseline) {
 }
 
 TEST(DegradationTest, FastSolvesNeverDegradeAndStayBitIdentical) {
-  // An easy instance under a generous budget: fallback mode must be a
+  // An easy instance under a generous budget: portfolio mode must be a
   // no-op — same result as strict, not marked, exact solver throughout.
   SyntheticDataset data = DegradeTestData(55, 30);
   Explain3DConfig strict_config;
@@ -287,7 +286,7 @@ TEST(DegradationTest, FastSolvesNeverDegradeAndStayBitIdentical) {
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
 
   Explain3DConfig fb_config = strict_config;
-  fb_config.degradation_mode = DegradationMode::kFallbackGreedy;
+  fb_config.portfolio = true;
   CancelToken deadline(600.0);
   PipelineInput input = BasicInput(data);
   input.cancel = &deadline;
@@ -469,7 +468,7 @@ TEST(ServiceResilienceTest, DefaultPolicyNeverRetries) {
   EXPECT_EQ(service.Stats().retries, 0u);
 }
 
-TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToFallback) {
+TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToPortfolio) {
   SyntheticDataset blocker_data = DegradeTestData(61);
   SyntheticDataset easy_data = DegradeTestData(62, 24);
   ServiceOptions options;
@@ -503,15 +502,20 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToFallback) {
   }
   EXPECT_EQ(service.Stats().health, ServiceHealth::kOverloaded);
 
-  // A strict, deadline-carrying submit now auto-flips to the fallback.
+  // A strict, deadline-carrying submit now auto-flips to the portfolio.
   ExplanationRequest probe = ServiceRequest(easy_data, e1, e2);
   probe.deadline_seconds = 600.0;
-  ASSERT_EQ(probe.config.degradation_mode, DegradationMode::kStrict);
+  ASSERT_FALSE(probe.config.portfolio);
   TicketPtr probed = service.Submit(std::move(probe));
   EXPECT_EQ(service.Stats().auto_degraded, 1u);
 
-  // Deadline-free and already-non-strict requests are never touched.
+  // Deadline-free and already-portfolio requests are never touched.
   TicketPtr no_deadline = service.Submit(ServiceRequest(easy_data, e1, e2));
+  EXPECT_EQ(service.Stats().auto_degraded, 1u);
+  ExplanationRequest already = ServiceRequest(easy_data, e1, e2);
+  already.deadline_seconds = 600.0;
+  already.config.portfolio = true;
+  TicketPtr portfolio = service.Submit(std::move(already));
   EXPECT_EQ(service.Stats().auto_degraded, 1u);
 
   // Unblock and drain: cancel everything still pending, then let the
@@ -520,9 +524,76 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToFallback) {
   for (const TicketPtr& t : flood) t->Wait();
   probed->Wait();
   no_deadline->Wait();
+  portfolio->Wait();
   // Pressure left the window → health recovers by itself.
   EXPECT_EQ(service.Stats().queue_depth, 0u);
   EXPECT_NE(service.Stats().health, ServiceHealth::kOverloaded);
+}
+
+TEST(ServiceResilienceTest, FlippedRequestLeadsNoCoalescingGroup) {
+  // Regression: Submit keyed a request for coalescing BEFORE the
+  // overload valve flipped its config, so the flipped request led a
+  // group under its strict key, and an identical strict submit attached
+  // to it and resolved with its degraded answer.
+  SyntheticDataset blocker_data = DegradeTestData(61);
+  SyntheticDataset hard_data = DegradeTestData(64);
+  SyntheticDataset easy_data = DegradeTestData(62, 24);
+  ServiceOptions options;
+  options.max_concurrency = 1;
+  options.admission_control = false;  // flood must QUEUE, not reject
+  options.cancel_running_on_destruction = true;
+  Explain3DService service(options);
+  DatabaseHandle b1 = service.RegisterDatabase("b1", blocker_data.db1);
+  DatabaseHandle b2 = service.RegisterDatabase("b2", blocker_data.db2);
+  DatabaseHandle h1 = service.RegisterDatabase("h1", hard_data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("h2", hard_data.db2);
+  DatabaseHandle e1 = service.RegisterDatabase("e1", easy_data.db1);
+  DatabaseHandle e2 = service.RegisterDatabase("e2", easy_data.db2);
+  auto hard_request = [](const SyntheticDataset& data, DatabaseHandle d1,
+                         DatabaseHandle d2) {
+    ExplanationRequest req = ServiceRequest(data, d1, d2);
+    req.mapping_options.use_blocking = false;
+    req.mapping_options.min_probability = 1e-12;
+    req.config = HardSolveConfig();
+    return req;
+  };
+
+  // Occupy the only worker with an unbounded hard solve...
+  TicketPtr running = service.Submit(hard_request(blocker_data, b1, b2));
+  for (int i = 0; i < 2000 && service.Stats().running == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(service.Stats().running, 1u);
+  // ...then flood the queue past overload. Oracle-carrying requests
+  // never coalesce, so all four queue.
+  std::vector<TicketPtr> flood;
+  for (int i = 0; i < 4; ++i) {
+    ExplanationRequest req = ServiceRequest(easy_data, e1, e2);
+    req.calibration_oracle = [](const CanonicalRelation&,
+                                const CanonicalRelation&, const Table&,
+                                const Table&) { return GoldPairs{}; };
+    flood.push_back(service.Submit(std::move(req)));
+  }
+  ASSERT_EQ(service.Stats().health, ServiceHealth::kOverloaded);
+
+  // The deadline-carrying hard probe flips to the portfolio and degrades
+  // once it runs; its strict, deadline-free twin must not share that.
+  ExplanationRequest probe = hard_request(hard_data, h1, h2);
+  probe.deadline_seconds = 1.5;
+  TicketPtr probed = service.Submit(std::move(probe));
+  TicketPtr twin = service.Submit(hard_request(hard_data, h1, h2));
+  EXPECT_EQ(service.Stats().auto_degraded, 1u);
+
+  running->Cancel();
+  for (const TicketPtr& t : flood) t->Wait();
+  probed->Wait();
+  const Result<PipelineResult>* early = twin->TryGet();
+  EXPECT_TRUE(early == nullptr || !early->ok() || !early->value().degraded())
+      << "a strict request received a degraded answer";
+  // The twin leads its own unbounded strict run: only a cancel ends it.
+  twin->Cancel();
+  EXPECT_EQ(twin->Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(service.Stats().coalesced_hits, 0u);
 }
 
 TEST(ServiceResilienceTest, WatchdogFiresDeadlineDuringStalledPoll) {
