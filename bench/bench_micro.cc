@@ -607,7 +607,7 @@ BENCHMARK(BM_PrePartition)->Arg(2000)->Arg(8000);
 // --- persistence tier --------------------------------------------------------
 
 // One pipeline-built stage-1 block at the benchmark's data size, via the
-// same harvest the service's write-behind uses.
+// same harvest the service's SnapshotTo uses.
 std::pair<std::string, ArtifactsPtr> SnapshotFixture(size_t n) {
   SyntheticOptions gen;
   gen.n = n;
@@ -630,7 +630,7 @@ std::pair<std::string, ArtifactsPtr> SnapshotFixture(size_t n) {
 }
 
 // Full snapshot write: encode (checksummed segment layout) + atomic
-// write + fsync. This is the per-block cost of a write-behind pass.
+// write + fsync. This is the per-block cost of a SnapshotTo.
 void BM_SnapshotSave(benchmark::State& state) {
   auto [key, art] = SnapshotFixture(static_cast<size_t>(state.range(0)));
   const std::string path =

@@ -46,13 +46,24 @@ class Notification {
   }
 
   /// Blocks up to `seconds`; returns whether the event fired in time.
+  /// A timeout <= 0 is a poll. One past kMaxTimedWaitSeconds (+inf
+  /// included) waits without a timeout: converted to the steady clock's
+  /// nanosecond ticks it would overflow and return at once.
   bool WaitForNotificationWithTimeout(double seconds) const {
     std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
-                        [this] { return notified_; });
+    auto fired = [this] { return notified_; };
+    if (!(seconds > 0)) return notified_;
+    if (seconds > kMaxTimedWaitSeconds) {
+      cv_.wait(lock, fired);
+      return true;
+    }
+    return cv_.wait_for(lock, std::chrono::duration<double>(seconds), fired);
   }
 
  private:
+  /// Longest timeout waited on the clock (about 31 years).
+  static constexpr double kMaxTimedWaitSeconds = 1e9;
+
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   bool notified_ = false;

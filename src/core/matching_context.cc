@@ -133,11 +133,11 @@ Result<MatchingContext::ArtifactsPtr> MatchingContext::GetOrBuild(
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return it->second.art;
   }
-  return InsertLocked(key, std::move(built), built_bytes, /*dirty=*/true);
+  return InsertLocked(key, std::move(built), built_bytes);
 }
 
 MatchingContext::ArtifactsPtr MatchingContext::InsertLocked(
-    const std::string& key, ArtifactsPtr art, size_t art_bytes, bool dirty) {
+    const std::string& key, ArtifactsPtr art, size_t art_bytes) {
   Entry entry;
   entry.bytes = EntryCharge(key, art_bytes);
   entry.art = std::move(art);
@@ -146,7 +146,6 @@ MatchingContext::ArtifactsPtr MatchingContext::InsertLocked(
   bytes_ += entry.bytes;
   ArtifactsPtr result = entry.art;
   cache_.emplace(key, std::move(entry));
-  if (dirty) dirty_artifacts_.insert(key);
   EvictOverBudgetLocked();
   return result;
 }
@@ -156,7 +155,7 @@ bool MatchingContext::Put(const std::string& key, ArtifactsPtr art) {
   size_t art_bytes = ApproxBytes(*art);  // O(data); outside the lock
   std::lock_guard<std::mutex> lock(mu_);
   if (cache_.count(key) > 0) return false;
-  InsertLocked(key, std::move(art), art_bytes, /*dirty=*/false);
+  InsertLocked(key, std::move(art), art_bytes);
   return true;
 }
 
@@ -180,30 +179,6 @@ MatchingContext::IncumbentEntries() const {
     out.emplace_back(key, incumbents_.at(key).inc);
   }
   return out;
-}
-
-MatchingContext::DirtyKeys MatchingContext::TakeDirtyKeys() {
-  std::lock_guard<std::mutex> lock(mu_);
-  DirtyKeys out;
-  out.artifacts.assign(dirty_artifacts_.begin(), dirty_artifacts_.end());
-  out.incumbents.assign(dirty_incumbents_.begin(), dirty_incumbents_.end());
-  dirty_artifacts_.clear();
-  dirty_incumbents_.clear();
-  return out;
-}
-
-MatchingContext::ArtifactsPtr MatchingContext::Peek(
-    const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  return it == cache_.end() ? nullptr : it->second.art;
-}
-
-MatchingContext::IncumbentsPtr MatchingContext::PeekIncumbents(
-    const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = incumbents_.find(key);
-  return it == incumbents_.end() ? nullptr : it->second.inc;
 }
 
 void MatchingContext::EvictOverBudgetLocked() {
@@ -241,8 +216,6 @@ void MatchingContext::Clear() {
   bytes_ = 0;
   incumbents_.clear();
   inc_lru_.clear();
-  dirty_artifacts_.clear();
-  dirty_incumbents_.clear();
 }
 
 size_t MatchingContext::EraseIf(
@@ -290,7 +263,7 @@ MatchingContext::IncumbentsPtr MatchingContext::GetIncumbents(
 }
 
 void MatchingContext::PutIncumbents(const std::string& key,
-                                    SolverIncumbents inc, bool dirty) {
+                                    SolverIncumbents inc) {
   if (!inc.complete) return;
   size_t charge = IncumbentCharge(key, inc);
   auto shared =
@@ -303,7 +276,6 @@ void MatchingContext::PutIncumbents(const std::string& key,
     it->second.bytes = charge;
     it->second.inc = std::move(shared);
     inc_lru_.splice(inc_lru_.begin(), inc_lru_, it->second.lru_it);
-    if (dirty) dirty_incumbents_.insert(key);
     return;
   }
   IncumbentEntry entry;
@@ -313,7 +285,6 @@ void MatchingContext::PutIncumbents(const std::string& key,
   entry.lru_it = inc_lru_.begin();
   bytes_ += charge;
   incumbents_.emplace(key, std::move(entry));
-  if (dirty) dirty_incumbents_.insert(key);
   while (incumbents_.size() > kMaxIncumbentEntries) {
     auto victim = incumbents_.find(inc_lru_.back());
     bytes_ -= victim->second.bytes;

@@ -30,7 +30,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -128,8 +127,7 @@ class MatchingContext {
   /// \brief Inserts a pre-built artifacts block (the snapshot-restore
   /// path). Returns false (and keeps the live entry) when `key` is
   /// already present — a block built this process is never displaced by
-  /// a restored one. Does not mark the key dirty, so a restore is never
-  /// re-persisted. Evicts over budget like GetOrBuild.
+  /// a restored one. Evicts over budget like GetOrBuild.
   bool Put(const std::string& key, ArtifactsPtr art);
 
   /// \brief Snapshot of every cached (key, artifacts) pair, MRU first.
@@ -139,23 +137,6 @@ class MatchingContext {
 
   /// Snapshot of every recorded (key, incumbents) pair, MRU first.
   std::vector<std::pair<std::string, IncumbentsPtr>> IncumbentEntries() const;
-
-  /// \brief Keys inserted or refreshed by real builds since the last
-  /// call, split by store. Write-behind persistence drains this; restore
-  /// inserts (Put / PutIncumbents(..., dirty=false)) never appear.
-  struct DirtyKeys {
-    std::vector<std::string> artifacts;
-    std::vector<std::string> incumbents;
-    bool empty() const { return artifacts.empty() && incumbents.empty(); }
-  };
-  DirtyKeys TakeDirtyKeys();
-
-  /// \brief Lock-only lookups that do NOT touch LRU order or hit/miss
-  /// counters — the persistence thread reads entries to serialize without
-  /// distorting cache behavior. Null when absent (e.g. evicted since the
-  /// dirty mark).
-  ArtifactsPtr Peek(const std::string& key) const;
-  IncumbentsPtr PeekIncumbents(const std::string& key) const;
 
   /// \brief Drops every cached entry (stage-1 artifacts AND solver
   /// incumbents).
@@ -188,9 +169,7 @@ class MatchingContext {
   /// \brief Records the incumbents of a completed, fully-optimal solve.
   /// Ignored unless `inc.complete`. Overwrites an existing entry (the
   /// optima are deterministic, so re-recording is refresh-only).
-  /// `dirty=false` (the restore path) skips the write-behind dirty mark.
-  void PutIncumbents(const std::string& key, SolverIncumbents inc,
-                     bool dirty = true);
+  void PutIncumbents(const std::string& key, SolverIncumbents inc);
 
   /// Current incumbent-store entry count and lifetime counters.
   size_t incumbent_entries() const;
@@ -235,10 +214,9 @@ class MatchingContext {
   void EvictOverBudgetLocked();
 
   /// Inserts an artifact entry; caller holds mu_, has verified the key
-  /// is absent, and precomputed ApproxBytes outside the lock. Marks the
-  /// key dirty when `dirty`.
+  /// is absent, and precomputed ApproxBytes outside the lock.
   ArtifactsPtr InsertLocked(const std::string& key, ArtifactsPtr art,
-                            size_t art_bytes, bool dirty);
+                            size_t art_bytes);
 
   mutable std::mutex mu_;
   std::list<std::string> lru_;  ///< keys, most recently used first
@@ -253,11 +231,6 @@ class MatchingContext {
   std::unordered_map<std::string, IncumbentEntry> incumbents_;
   size_t incumbent_hits_ = 0;
   size_t incumbent_misses_ = 0;
-
-  /// Keys touched by real builds since the last TakeDirtyKeys (sets, so
-  /// a rebuilt key persists once per drain).
-  std::unordered_set<std::string> dirty_artifacts_;
-  std::unordered_set<std::string> dirty_incumbents_;
 };
 
 }  // namespace explain3d

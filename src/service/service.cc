@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "storage/artifact_store.h"
 #include "storage/content_hash.h"
 
 namespace explain3d {
@@ -73,22 +74,55 @@ std::string DatabaseHandle::Identity() const {
 
 // --- RequestTicket ----------------------------------------------------------
 
-const Result<PipelineResult>& RequestTicket::Wait() const {
-  done_.WaitForNotification();
+const Result<PipelineResult>& RequestTicket::Wait() {
+  AwaitDone(std::numeric_limits<double>::infinity());
   // Safe without mu_: result_ is written before done_ fires and never
   // written again (single completion), and HasBeenNotified/Wait
   // establish the happens-before edge.
   return *result_;
 }
 
-const Result<PipelineResult>* RequestTicket::TryGet() const {
+const Result<PipelineResult>* RequestTicket::TryGet() {
+  if (!done_.HasBeenNotified()) ExpireIfFired();
   if (!done_.HasBeenNotified()) return nullptr;
   return &*result_;
 }
 
-const Result<PipelineResult>* RequestTicket::WaitFor(double seconds) const {
-  if (!done_.WaitForNotificationWithTimeout(seconds)) return nullptr;
+const Result<PipelineResult>* RequestTicket::WaitFor(double seconds) {
+  if (!AwaitDone(seconds)) return nullptr;
   return &*result_;
+}
+
+bool RequestTicket::AwaitDone(double seconds) {
+  const auto start = std::chrono::steady_clock::now();
+  auto left = [&] {
+    return seconds - SecondsBetween(start, std::chrono::steady_clock::now());
+  };
+  // Wait on the clock no later than the deadline. There, a ticket that
+  // has not started running expires itself; a running one is left to its
+  // worker's polls, so the rest of the wait ignores the deadline. The
+  // loop only repeats if the clock wait woke a hair before the token's
+  // own deadline check agrees.
+  while (token_ != nullptr && token_->RemainingSeconds() < left()) {
+    if (done_.WaitForNotificationWithTimeout(token_->RemainingSeconds())) {
+      return true;
+    }
+    if (ExpireIfFired()) break;
+  }
+  return done_.WaitForNotificationWithTimeout(left());
+}
+
+bool RequestTicket::ExpireIfFired() {
+  Status fired = CheckCancel(token_.get());
+  if (fired.ok()) return false;
+  // Only a deadline can fire a queued ticket's token: Cancel() completes
+  // a queued ticket before it fires the token.
+  if (fired.code() == StatusCode::kDeadlineExceeded) {
+    CompleteIfQueued(std::move(fired), [this] {
+      if (counters_) counters_->deadline_exceeded.fetch_add(1);
+    });
+  }
+  return true;
 }
 
 bool RequestTicket::Cancel() {
@@ -159,32 +193,6 @@ Explain3DService::Explain3DService(ServiceOptions options)
   // can hold max_concurrency_ of them (nested ParallelFor calls remain
   // deadlock-free regardless — batches are caller-participating).
   SharedPool(max_concurrency_);
-  if (options_.watchdog_interval_seconds > 0) {
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
-  if (!options_.persist_dir.empty()) {
-    // Persistence must never take serving down with it: a store that
-    // fails to open (bad directory, corrupt manifest) just disables the
-    // tier, counted as a persist error.
-    Result<storage::ArtifactStore> store =
-        storage::ArtifactStore::Open(options_.persist_dir);
-    if (!store.ok()) {
-      persist_errors_.fetch_add(1);
-    } else {
-      persist_store_.emplace(std::move(store).value());
-      if (options_.restore_on_start) {
-        // Warm restart: committed snapshots land in the cache before the
-        // first Submit can race them. A damaged file aborts the load
-        // (whatever restored before it stays — entries are atomic).
-        if (!LoadStoreIntoCache(*persist_store_).ok()) {
-          persist_errors_.fetch_add(1);
-        }
-      }
-      if (options_.persist_interval_seconds > 0) {
-        persister_ = std::thread([this] { PersisterLoop(); });
-      }
-    }
-  }
 }
 
 Explain3DService::~Explain3DService() {
@@ -226,23 +234,6 @@ Explain3DService::~Explain3DService() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     idle_cv_.wait(lock, [this] { return active_runners_ == 0; });
-  }
-  // Stop the watchdog only after the drain: draining runs still carry
-  // live deadlines that deserve firing.
-  if (watchdog_.joinable()) {
-    watchdog_stop_.Notify();
-    watchdog_.join();
-  }
-  // Stop the persister last — after the runner drain, so the final pass
-  // (PersisterLoop drains once more on its way out) catches artifacts
-  // the last requests produced.
-  if (persister_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(persist_mu_);
-      persist_stop_ = true;
-    }
-    persist_cv_.notify_all();
-    persister_.join();
   }
 }
 
@@ -658,8 +649,8 @@ void Explain3DService::RunnerLoop() {
 }
 
 void Explain3DService::Process(const TicketPtr& ticket) {
-  // Claim kQueued → kRunning. Losing the claim means Cancel() completed
-  // the ticket while it sat in the queue; account for it and move on.
+  // Claim kQueued → kRunning. Losing the claim means Cancel() or the
+  // ticket's own deadline expiry completed it while it sat in the queue.
   {
     bool already_terminal = false;
     {
@@ -670,9 +661,9 @@ void Explain3DService::Process(const TicketPtr& ticket) {
         ticket->state_ = RequestTicket::State::kRunning;
       }
     }
-    // Cancelled while queued — already counted by Cancel(); just skip.
-    // A cancelled coalescing LEADER leaves its group headless, though:
-    // promote the oldest live follower before dropping the claim.
+    // Already counted by whoever completed it; just skip. A dead
+    // coalescing LEADER leaves its group headless, though: promote the
+    // oldest live follower before dropping the claim.
     if (already_terminal) {
       if (!ticket->coalesce_key_.empty()) ResolveOrPromoteFollowers(ticket);
       return;
@@ -888,13 +879,9 @@ void Explain3DService::FanOutShared(const TicketPtr& leader,
     coalesce_groups_.erase(it);
   }
   for (const TicketPtr& f : followers) {
-    if (f->done()) continue;
     // Per-ticket independence: a follower whose OWN token fired resolves
     // its own terminal status, never the shared result.
-    if (Status fired = CheckCancel(f->token_.get()); !fired.ok()) {
-      ResolveFollowerTerminal(f, fired);
-      continue;
-    }
+    if (f->done() || f->ExpireIfFired()) continue;
     f->CompleteIfQueued(outcome, [this, &outcome] {
       // A whole stage-1 build + solve that never ran. Classified by the
       // SHARED result, in the same buckets a solo run would use.
@@ -929,11 +916,7 @@ void Explain3DService::ResolveOrPromoteFollowers(const TicketPtr& leader) {
   TicketPtr promoted;
   std::vector<TicketPtr> rest;
   for (const TicketPtr& f : followers) {
-    if (f->done()) continue;
-    if (Status fired = CheckCancel(f->token_.get()); !fired.ok()) {
-      ResolveFollowerTerminal(f, fired);
-      continue;
-    }
+    if (f->done() || f->ExpireIfFired()) continue;
     if (promoted == nullptr) {
       promoted = f;
     } else {
@@ -974,63 +957,6 @@ void Explain3DService::ResolveOrPromoteFollowers(const TicketPtr& leader) {
   if (spawn) SharedPool().Submit([this] { RunnerLoop(); });
 }
 
-void Explain3DService::ResolveFollowerTerminal(const TicketPtr& follower,
-                                               const Status& fired) {
-  if (fired.code() == StatusCode::kCancelled) {
-    follower->CompleteIfQueued(
-        Result<PipelineResult>(fired),
-        [this] { counters_->cancelled.fetch_add(1); });
-  } else {
-    follower->CompleteIfQueued(
-        Result<PipelineResult>(Status::DeadlineExceeded(
-            "deadline expired while awaiting a coalesced result")),
-        [this] { counters_->deadline_exceeded.fetch_add(1); });
-  }
-}
-
-void Explain3DService::WatchdogLoop() {
-  while (!watchdog_stop_.WaitForNotificationWithTimeout(
-      options_.watchdog_interval_seconds)) {
-    // Snapshot the running tickets' tokens under mu_, then Check()
-    // outside it — Check can take the token's own lock on first deadline
-    // discovery, and this thread must never nest that under mu_.
-    std::vector<std::shared_ptr<CancelToken>> tokens;
-    std::vector<TicketPtr> followers;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tokens.reserve(running_tickets_.size());
-      for (const TicketPtr& t : running_tickets_) {
-        tokens.push_back(t->token_);
-      }
-      for (const auto& [key, group] : coalesce_groups_) {
-        for (const TicketPtr& f : group.followers) followers.push_back(f);
-      }
-    }
-    for (const std::shared_ptr<CancelToken>& token : tokens) {
-      if (token == nullptr) continue;
-      // Check() FIRES a token whose deadline lapsed between the
-      // pipeline's cooperative polls: waiters on fired_event wake now
-      // instead of at the next natural poll. Count only the transitions
-      // this thread caused.
-      bool was_fired = token->fired_event().HasBeenNotified();
-      if (!token->Check().ok() && !was_fired) {
-        watchdog_fires_.fetch_add(1);
-      }
-    }
-    // Coalesced followers have no worker polling their token: this
-    // sweep is what turns an expired follower deadline into a terminal
-    // ticket while the shared run is still in flight.
-    for (const TicketPtr& f : followers) {
-      if (f->done() || f->token_ == nullptr) continue;
-      bool was_fired = f->token_->fired_event().HasBeenNotified();
-      Status fired = f->token_->Check();
-      if (fired.ok()) continue;
-      if (!was_fired) watchdog_fires_.fetch_add(1);
-      ResolveFollowerTerminal(f, fired);
-    }
-  }
-}
-
 ServiceHealth Explain3DService::EvaluateHealthLocked() const {
   // See the ServiceHealth comment for the exact thresholds. Memoryless:
   // recomputed from the windows on every read, so recovery is automatic.
@@ -1038,14 +964,14 @@ ServiceHealth Explain3DService::EvaluateHealthLocked() const {
   double depth = static_cast<double>(queued_tickets_);
   size_t rejections = 0;
   for (uint8_t r : recent_admissions_) rejections += r;
-  if (depth >= options_.overload_queue_factor * width ||
+  if (depth >= kOverloadQueueFactor * width ||
       (recent_admissions_.size() >= 8 &&
        2 * rejections >= recent_admissions_.size())) {
     return ServiceHealth::kOverloaded;
   }
   bool any_transient = false;
   for (uint8_t t : recent_transients_) any_transient |= (t != 0);
-  if (depth >= options_.degrade_queue_factor * width || any_transient) {
+  if (depth >= kDegradeQueueFactor * width || any_transient) {
     return ServiceHealth::kDegraded;
   }
   return ServiceHealth::kHealthy;
@@ -1195,111 +1121,39 @@ Status Explain3DService::SnapshotTo(const std::string& dir) {
       cache_.Entries();
   std::vector<std::pair<std::string, IncumbentsPtr>> incumbents =
       cache_.IncumbentEntries();
-  std::lock_guard<std::mutex> lock(persist_mu_);
-  storage::ArtifactStore* store = nullptr;
-  std::optional<storage::ArtifactStore> scratch;
-  if (persist_store_.has_value() && persist_store_->dir() == dir) {
-    store = &*persist_store_;  // share the open store, serialized here
-  } else {
-    E3D_ASSIGN_OR_RETURN(scratch, storage::ArtifactStore::Open(dir));
-    store = &*scratch;
-  }
-  size_t written = 0;
+  // Open inside the lock: a store opened before another call's commit
+  // would commit a manifest that drops that call's files.
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  E3D_ASSIGN_OR_RETURN(storage::ArtifactStore store,
+                       storage::ArtifactStore::Open(dir));
   for (const auto& [key, art] : entries) {
-    E3D_RETURN_IF_ERROR(store->PutArtifacts(key, *art));
-    ++written;
+    E3D_RETURN_IF_ERROR(store.PutArtifacts(key, *art));
   }
   for (const auto& [key, inc] : incumbents) {
-    store->PutIncumbents(key, *inc);
+    store.PutIncumbents(key, *inc);
   }
-  E3D_RETURN_IF_ERROR(store->Commit());
-  persisted_entries_.fetch_add(written);
-  return Status::OK();
+  return store.Commit();
 }
 
 Status Explain3DService::RestoreFrom(const std::string& dir) {
   E3D_ASSIGN_OR_RETURN(storage::ArtifactStore store,
                        storage::ArtifactStore::Open(dir));
-  return LoadStoreIntoCache(store);
-}
-
-Status Explain3DService::FlushPersistence() {
-  {
-    std::lock_guard<std::mutex> lock(persist_mu_);
-    if (!persist_store_.has_value()) {
-      return Status::InvalidArgument(
-          "no persistence store open (ServiceOptions::persist_dir unset, "
-          "or the store failed to open)");
-    }
-  }
-  return DrainDirtyToStore();
-}
-
-Status Explain3DService::LoadStoreIntoCache(
-    const storage::ArtifactStore& store) {
+  // Decode and verify everything before the first insert: a damaged
+  // store fails whole and leaves the cache untouched.
   E3D_ASSIGN_OR_RETURN(std::vector<storage::DecodedArtifacts> decoded,
                        store.LoadAllArtifacts());
+  E3D_ASSIGN_OR_RETURN(auto incumbents, store.LoadIncumbents());
   size_t entries = 0;
   for (storage::DecodedArtifacts& d : decoded) {
-    // A live entry wins over the disk image (it is at least as fresh);
-    // restored inserts are clean — they only re-persist if rebuilt.
+    // A live entry wins over the disk image (it is at least as fresh).
     if (cache_.Put(d.key, std::move(d.artifacts))) ++entries;
   }
-  E3D_ASSIGN_OR_RETURN(auto incumbents, store.LoadIncumbents());
   for (auto& [key, inc] : incumbents) {
-    cache_.PutIncumbents(key, std::move(inc), /*dirty=*/false);
+    cache_.PutIncumbents(key, std::move(inc));
   }
   restored_entries_.fetch_add(entries);
   restored_incumbents_.fetch_add(incumbents.size());
   return Status::OK();
-}
-
-Status Explain3DService::DrainDirtyToStore() {
-  // Taking the dirty set claims those keys for this pass; a failure
-  // below loses their dirtiness (counted in persist_errors — the next
-  // SnapshotTo or rebuild re-covers them) but never corrupts the store:
-  // the previous commit stays intact under every failure mode.
-  MatchingContext::DirtyKeys dirty = cache_.TakeDirtyKeys();
-  if (dirty.empty()) return Status::OK();
-  std::lock_guard<std::mutex> lock(persist_mu_);
-  if (!persist_store_.has_value()) return Status::OK();
-  Status first_error = Status::OK();
-  size_t written = 0;
-  for (const std::string& key : dirty.artifacts) {
-    ArtifactsPtr art = cache_.Peek(key);
-    if (art == nullptr) continue;  // evicted since it dirtied
-    Status s = persist_store_->PutArtifacts(key, *art);
-    if (!s.ok()) {
-      if (first_error.ok()) first_error = s;
-      continue;
-    }
-    ++written;
-  }
-  for (const std::string& key : dirty.incumbents) {
-    IncumbentsPtr inc = cache_.PeekIncumbents(key);
-    if (inc != nullptr) persist_store_->PutIncumbents(key, *inc);
-  }
-  Status commit = persist_store_->Commit();
-  if (!commit.ok()) return commit;
-  persisted_entries_.fetch_add(written);
-  return first_error;
-}
-
-void Explain3DService::PersisterLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(persist_mu_);
-      persist_cv_.wait_for(
-          lock,
-          std::chrono::duration<double>(options_.persist_interval_seconds),
-          [this] { return persist_stop_; });
-      if (persist_stop_) break;
-    }
-    if (!DrainDirtyToStore().ok()) persist_errors_.fetch_add(1);
-  }
-  // Final pass: the destructor drains the runners before stopping this
-  // thread, so everything the last requests built reaches disk.
-  if (!DrainDirtyToStore().ok()) persist_errors_.fetch_add(1);
 }
 
 ServiceStats Explain3DService::Stats() const {
@@ -1337,7 +1191,6 @@ ServiceStats Explain3DService::Stats() const {
   s.completed_exact = counters_->exact.load();
   s.completed_degraded = counters_->degraded.load();
   s.retries = counters_->retries.load();
-  s.watchdog_fires = watchdog_fires_.load();
   s.auto_degraded = auto_degraded_.load();
   s.fault_fires = FaultInjector::Instance().TotalFires();
   {
@@ -1367,8 +1220,6 @@ ServiceStats Explain3DService::Stats() const {
   s.incumbent_misses = cache_.incumbent_misses();
   s.restored_entries = restored_entries_.load();
   s.restored_incumbents = restored_incumbents_.load();
-  s.persisted_entries = persisted_entries_.load();
-  s.persist_errors = persist_errors_.load();
   return s;
 }
 

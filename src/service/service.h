@@ -27,20 +27,24 @@
 //     config; see RequestResultKey) share one computation, and every
 //     ticket resolves from the shared PipelineResult zero-copy
 //     (ServiceOptions::enable_coalescing);
-//   * optionally, the persistence tier (storage/artifact_store.h) —
-//     with ServiceOptions::persist_dir set, artifacts and incumbents are
-//     written behind the serving path into a crash-consistent on-disk
-//     store and restored at construction, so a service RESTART keeps the
-//     warm cache: the first repeated request after a restart is a warm
-//     hit with warm-started solves, bit-identical to the pre-restart
-//     answer. SnapshotTo/RestoreFrom expose the same image explicitly.
+//   * the persistence tier (storage/artifact_store.h) — SnapshotTo
+//     writes the cached artifacts and incumbents into a crash-consistent
+//     on-disk store and RestoreFrom loads them, so a service RESTART
+//     keeps the warm cache: the first repeated request after a restart
+//     is a warm hit with warm-started solves, bit-identical to the
+//     pre-restart answer.
+//
+// The service starts no thread of its own: requests run on the
+// SharedPool, and everything else happens on the callers' threads.
 //
 // Submit returns a RequestTicket future: Wait() / TryGet() / Cancel().
 // Every request carries a CancelToken (common/cancel.h) threaded down to
 // branch-and-bound node granularity, so Cancel() and deadlines interrupt
 // RUNNING requests — within milliseconds during a stage-2 solve (the
 // long-running case), or at the next stage-1 step boundary otherwise.
-// A cancelled request resolves kCancelled, a blown deadline
+// A request that has not started running (queued, or a coalesced
+// follower) expires its own deadline when Wait/WaitFor/TryGet finds it
+// passed. A cancelled request resolves kCancelled, a blown deadline
 // kDeadlineExceeded, and neither ever perturbs the results of surviving
 // requests. Admission control rejects
 // a request at Submit with kUnavailable when the queue is predictably
@@ -63,7 +67,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -74,7 +77,6 @@
 #include "core/matching_context.h"
 #include "core/pipeline.h"
 #include "relational/database.h"
-#include "storage/artifact_store.h"
 
 namespace explain3d {
 
@@ -138,11 +140,12 @@ struct ExplanationRequest {
   Explain3DConfig config;
   /// End-to-end deadline, in seconds from Submit; 0 = none. Enforced
   /// everywhere along the request's life: admission control may reject a
-  /// predictably-doomed request at Submit (kUnavailable), a worker
-  /// claiming it past the deadline fails it without running
-  /// (kDeadlineExceeded), and a RUNNING request is interrupted at the
-  /// pipeline's cancellation points — down to solver node granularity —
-  /// resolving kDeadlineExceeded within milliseconds of expiry.
+  /// predictably-doomed request at Submit (kUnavailable), a request not
+  /// yet running resolves kDeadlineExceeded once a waiter finds the
+  /// deadline passed (or a worker claims it late, without running it),
+  /// and a RUNNING request is interrupted at the pipeline's cancellation
+  /// points — down to solver node granularity — resolving
+  /// kDeadlineExceeded within milliseconds of expiry.
   double deadline_seconds = 0;
   /// Transient-failure retry policy (default: no retry). See RetryPolicy
   /// for what qualifies as transient.
@@ -223,20 +226,25 @@ struct ServiceCounters {
 /// threads. Tickets outlive the service (shared_ptr), and a ticket
 /// completed with a PipelineResult keeps that result valid forever — it
 /// co-owns its Stage1Artifacts block.
+///
+/// Wait, WaitFor and TryGet expire the ticket's deadline themselves: once
+/// it has passed, a ticket that has not started running (queued, or a
+/// coalesced follower) resolves kDeadlineExceeded right there, just as
+/// Cancel() resolves one; a running ticket stays with its worker's polls.
 class RequestTicket {
  public:
   /// Blocks until the request reaches a terminal state; returns it.
   /// The reference lives inside the ticket — keep the TicketPtr alive
   /// while reading it (don't call through a temporary:
   /// `service.Submit(r)->Wait()` dangles at the semicolon).
-  const Result<PipelineResult>& Wait() const;
+  const Result<PipelineResult>& Wait();
 
   /// Non-blocking: the terminal result, or nullptr while pending.
-  const Result<PipelineResult>* TryGet() const;
+  const Result<PipelineResult>* TryGet();
 
   /// Wait with a timeout; nullptr when the request is still pending
   /// after `seconds`.
-  const Result<PipelineResult>* WaitFor(double seconds) const;
+  const Result<PipelineResult>* WaitFor(double seconds);
 
   /// \brief Requests cancellation; returns true when delivered before
   /// the ticket was terminal.
@@ -268,15 +276,26 @@ class RequestTicket {
   /// lock; at most one completion ever happens (claim logic guarantees).
   void Complete(Result<PipelineResult> result);
 
-  /// Conditional completion for coalesced followers, which have no
-  /// single completing owner: the leader's fan-out, the watchdog's
-  /// deadline sweep, and a user Cancel() all race, and whoever finds the
-  /// ticket still kQueued wins. Runs `on_win` (the winner's counter
-  /// bumps) after the state transition but BEFORE waiters release, so a
-  /// caller woken by Wait() always sees its request already counted.
-  /// Returns whether this call won.
+  /// Conditional completion for tickets with no single completing owner:
+  /// a follower's leader fan-out, a waiter expiring the deadline, and a
+  /// user Cancel() race each other and a worker's claim, and only a call
+  /// that finds the ticket still kQueued completes it. Runs `on_win` (the
+  /// winner's counter bumps) after the state transition but BEFORE
+  /// waiters release, so a caller woken by Wait() always sees its
+  /// request already counted. Returns whether this call won.
   bool CompleteIfQueued(Result<PipelineResult> result,
                         const std::function<void()>& on_win);
+
+  /// Once the deadline has passed, resolves a still-kQueued ticket
+  /// kDeadlineExceeded (counted). Returns whether the token has fired —
+  /// such a ticket never takes a shared or fresh result.
+  bool ExpireIfFired();
+
+  /// Body of Wait/WaitFor: blocks up to `seconds` (+inf = no limit),
+  /// waiting on the clock no later than the deadline, where it expires
+  /// the ticket if it has not started running. Returns whether the
+  /// ticket is terminal.
+  bool AwaitDone(double seconds);
 
   mutable std::mutex mu_;
   State state_ = State::kQueued;
@@ -308,14 +327,13 @@ using TicketPtr = std::shared_ptr<RequestTicket>;
 /// / retries). Exposed through ServiceStats::health and consulted by
 /// Submit under ServiceOptions::auto_fallback_on_overload.
 ///
-/// With W = max_concurrency and the factors from ServiceOptions:
-///   kOverloaded: queue depth >= overload_queue_factor × W, or at least
-///                half of the last kHealthWindow admission decisions
-///                were rejections (once >= 8 decisions are in the
-///                window);
-///   kDegraded:   queue depth >= degrade_queue_factor × W, or any of
-///                the last kHealthWindow claimed runs hit a transient
-///                failure (injected fault, retried attempt);
+/// With W = max_concurrency:
+///   kOverloaded: queue depth >= 4 × W, or at least half of the last
+///                kHealthWindow admission decisions were rejections
+///                (once >= 8 decisions are in the window);
+///   kDegraded:   queue depth >= 2 × W, or any of the last
+///                kHealthWindow claimed runs hit a transient failure
+///                (injected fault, retried attempt);
 ///   kHealthy:    everything else.
 /// The machine is memoryless by design — states are recomputed from the
 /// sliding windows on every read, so recovery is automatic when the
@@ -364,7 +382,6 @@ struct ServiceStats {
   size_t completed_degraded = 0;  ///< OK results marked degraded()
   // Resilience.
   size_t retries = 0;         ///< transient-failure re-attempts run
-  size_t watchdog_fires = 0;  ///< tokens the watchdog fired (stalled polls)
   /// Strict requests whose config was auto-switched to the portfolio
   /// at Submit because the service was kOverloaded (see
   /// ServiceOptions::auto_fallback_on_overload).
@@ -408,11 +425,9 @@ struct ServiceStats {
   size_t incumbent_entries = 0;    ///< records currently stored
   size_t incumbent_hits = 0;       ///< store lookups that found a record
   size_t incumbent_misses = 0;     ///< store lookups that found none
-  // Persistence tier (storage/artifact_store.h; all zero without it).
-  size_t restored_entries = 0;     ///< artifacts loaded from disk at start
-  size_t restored_incumbents = 0;  ///< incumbent records loaded at start
-  size_t persisted_entries = 0;    ///< artifact snapshots written so far
-  size_t persist_errors = 0;       ///< failed persistence passes
+  // Persistence tier (RestoreFrom; zero until a restore).
+  size_t restored_entries = 0;     ///< artifacts loaded from disk
+  size_t restored_incumbents = 0;  ///< incumbent records loaded from disk
   // Latency percentiles over the most recent SUCCESSFUL completions.
   LatencySummary queue_seconds;   ///< Submit → worker claim
   LatencySummary stage1_seconds;  ///< pipeline stage 1
@@ -503,15 +518,6 @@ struct ServiceOptions {
   /// latency histograms. No estimate is available until a first request
   /// completes (such requests are admitted). false = always queue.
   bool admission_control = true;
-  /// Poll cadence of the wall-clock watchdog thread, which walks the
-  /// RUNNING tickets' tokens and Check()s them — a deadline that expired
-  /// while the pipeline sat between cooperative polls (a long O(data)
-  /// build step) is thereby FIRED by the watchdog: waiters on the
-  /// token's fired_event wake immediately and every subsequent poll
-  /// fails fast, instead of the expiry going unnoticed until the next
-  /// natural poll. Fires are counted in ServiceStats::watchdog_fires.
-  /// <= 0 disables the thread.
-  double watchdog_interval_seconds = 0.05;
   /// When the service is kOverloaded at Submit, flip an incoming
   /// deadline-carrying strict request to Explain3DConfig::portfolio, so
   /// it can still answer inside its deadline with the greedy leg
@@ -521,32 +527,6 @@ struct ServiceOptions {
   /// Requests that carry no deadline, or are already portfolio, are
   /// never touched. false = never override a request's config.
   bool auto_fallback_on_overload = true;
-  /// Queue-depth multiples of max_concurrency at which health leaves
-  /// kHealthy (see ServiceHealth): depth >= degrade_queue_factor × W is
-  /// at least kDegraded, depth >= overload_queue_factor × W is
-  /// kOverloaded.
-  double degrade_queue_factor = 2.0;
-  double overload_queue_factor = 4.0;
-  /// Directory of the persistence tier (storage/artifact_store.h). When
-  /// non-empty the service opens (creating if needed) an ArtifactStore
-  /// there at construction and persists stage-1 artifacts and solver
-  /// incumbents behind the serving path — a restarted service pointed at
-  /// the same directory answers its first repeated request from the warm
-  /// cache, bit-identically. A store that fails to open disables
-  /// persistence for the service's lifetime (counted in
-  /// ServiceStats::persist_errors); serving is never blocked on disk.
-  /// Empty (default) = in-memory only; SnapshotTo/RestoreFrom still work.
-  std::string persist_dir;
-  /// With persist_dir set: load the store's committed snapshots into the
-  /// cache at construction (the warm-restart path). Restored entries are
-  /// not re-persisted until they change.
-  bool restore_on_start = true;
-  /// Write-behind cadence: the persistence thread wakes at this interval
-  /// and drains entries that became dirty since the last pass to the
-  /// store (atomic snapshot files + one manifest commit). <= 0 disables
-  /// the thread — with persist_dir set, FlushPersistence() is then the
-  /// only writer. Ignored without persist_dir.
-  double persist_interval_seconds = 1.0;
 };
 
 /// \brief The serving facade (see file comment).
@@ -609,34 +589,25 @@ class Explain3DService {
   /// complete incumbent records) to an ArtifactStore at `dir` and commits
   /// — one crash-consistent on-disk image of the warm state.
   ///
-  /// Independent of ServiceOptions::persist_dir (any directory works; an
-  /// existing store is updated in place). Entries are keyed by content
-  /// identity, so a different process restoring the snapshot serves the
-  /// same registered data bit-identically. Concurrent requests keep
-  /// running — entries are immutable, so the image is consistent without
-  /// pausing anything.
+  /// Any directory works; an existing store is updated in place. Entries
+  /// are keyed by content identity, so a different process restoring the
+  /// snapshot serves the same registered data bit-identically. Concurrent
+  /// requests keep running — entries are immutable, so the image is
+  /// consistent without pausing anything. Concurrent SnapshotTo calls
+  /// take turns: two stores on one directory would race their commits.
   Status SnapshotTo(const std::string& dir);
 
   /// \brief Loads every committed snapshot from the store at `dir` into
   /// the cache (mmap-backed, zero-copy for the columnar arrays).
   ///
-  /// Keys already present in the cache are kept (the live entry wins);
-  /// restored entries are not re-persisted until they change. Fails with
-  /// kCorruption when any file is damaged — the cache is left with
-  /// whatever loaded before the damage was hit, never a torn entry.
-  /// Databases must be re-registered separately (the store persists
-  /// derived artifacts, not the raw relations); a re-registered database
-  /// with identical contents maps to the same content identity and warms
-  /// straight off the restored entries.
+  /// Keys already present in the cache are kept (the live entry wins).
+  /// Everything is decoded and verified before the first insert, so a
+  /// store with any damaged file fails with kCorruption and loads
+  /// nothing. Databases must be re-registered separately (the store
+  /// persists derived artifacts, not the raw relations); a re-registered
+  /// database with identical contents maps to the same content identity
+  /// and warms straight off the restored entries.
   Status RestoreFrom(const std::string& dir);
-
-  /// \brief Synchronously drains dirty cache entries to the
-  /// ServiceOptions::persist_dir store and commits.
-  ///
-  /// InvalidArgument without an open persistence store. The same drain
-  /// the write-behind thread runs — call it before a planned shutdown to
-  /// guarantee the last results are on disk.
-  Status FlushPersistence();
 
   /// The owned stage-1 cache (diagnostics/tests: entry count, bytes,
   /// hit/miss/eviction counters).
@@ -691,14 +662,6 @@ class Explain3DService {
   /// live one to a fresh leader (re-enqueued into its band), and carry
   /// the rest over as its followers.
   void ResolveOrPromoteFollowers(const TicketPtr& leader);
-  /// Completes one follower whose OWN token fired (`fired` is the
-  /// token's status) with the matching terminal status, if it still
-  /// pends; counts the winning bucket.
-  void ResolveFollowerTerminal(const TicketPtr& follower,
-                               const Status& fired);
-  /// Watchdog body: periodically Check() the running tickets' tokens so
-  /// expired deadlines fire even when cooperative polls stall.
-  void WatchdogLoop();
   /// Health state from the queue gauge and sliding windows. Caller
   /// holds mu_.
   ServiceHealth EvaluateHealthLocked() const;
@@ -717,16 +680,6 @@ class Explain3DService {
   TicketPtr PopLocked();
   /// Resolves a handle to a keep-alive database reference + content tag.
   Result<ResolvedDb> ResolveHandle(const DatabaseHandle& handle) const;
-  /// Persistence-thread body: drain dirty entries every
-  /// persist_interval_seconds (and on FlushPersistence wakeups) until
-  /// shutdown, with one final drain on the way out.
-  void PersisterLoop();
-  /// Writes the cache's dirty entries to `store` and commits. Takes
-  /// persist_mu_; the shared body of the thread and FlushPersistence.
-  Status DrainDirtyToStore();
-  /// Inserts a store's committed contents into the cache (dirty=false).
-  /// Counts into restored_*; shared by the constructor and RestoreFrom.
-  Status LoadStoreIntoCache(const storage::ArtifactStore& store);
   /// Appends one successful request's latencies to the rings (global,
   /// per-band, and the keyed admission ring of `admission_key`) and
   /// refreshes the cached p50 run time the admission controller reads.
@@ -800,30 +753,23 @@ class Explain3DService {
 
   // Health windows (guarded by mu_): the most recent kHealthWindow
   // admission decisions (1 = rejected) and claimed-run transient flags
-  // (1 = the run hit at least one kUnavailable attempt).
+  // (1 = the run hit at least one kUnavailable attempt). Queue depths of
+  // kDegradeQueueFactor / kOverloadQueueFactor × max_concurrency move
+  // health to kDegraded / kOverloaded (see ServiceHealth).
   static constexpr size_t kHealthWindow = 32;
+  static constexpr double kDegradeQueueFactor = 2.0;
+  static constexpr double kOverloadQueueFactor = 4.0;
   std::deque<uint8_t> recent_admissions_;
   std::deque<uint8_t> recent_transients_;
 
-  // Watchdog (started by the constructor when the interval is > 0).
-  std::thread watchdog_;
-  Notification watchdog_stop_;
-  std::atomic<size_t> watchdog_fires_{0};
   std::atomic<size_t> auto_degraded_{0};
 
-  // Persistence tier (only with ServiceOptions::persist_dir). The store
-  // is not thread-safe: every access — the write-behind thread,
-  // FlushPersistence, and a SnapshotTo aimed at the same directory —
-  // serializes on persist_mu_.
-  mutable std::mutex persist_mu_;
-  std::optional<storage::ArtifactStore> persist_store_;
-  std::thread persister_;
-  std::condition_variable persist_cv_;  ///< wakes the thread (flush/stop)
-  bool persist_stop_ = false;           ///< guarded by persist_mu_
+  // Persistence tier. SnapshotTo opens its own store per call; two
+  // stores on one directory share temp-file names and would race their
+  // commits, so concurrent snapshots serialize on snapshot_mu_.
+  std::mutex snapshot_mu_;
   std::atomic<size_t> restored_entries_{0};
   std::atomic<size_t> restored_incumbents_{0};
-  std::atomic<size_t> persisted_entries_{0};
-  std::atomic<size_t> persist_errors_{0};
 
   // Lifecycle counters (shared with tickets; see ServiceCounters).
   std::shared_ptr<ServiceCounters> counters_ =

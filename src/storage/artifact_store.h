@@ -22,8 +22,9 @@
 //
 // Readers (LoadArtifacts/LoadAllArtifacts) mmap each file and verify
 // every segment checksum before constructing the block; any mismatch is
-// kCorruption. The store itself is not thread-safe — Explain3DService
-// serializes access through its persistence thread.
+// kCorruption. The store itself is not thread-safe, and two stores open
+// on one directory race their commits (they share temp-file names);
+// Explain3DService::SnapshotTo serializes its stores on one mutex.
 
 #ifndef EXPLAIN3D_STORAGE_ARTIFACT_STORE_H_
 #define EXPLAIN3D_STORAGE_ARTIFACT_STORE_H_

@@ -1,14 +1,17 @@
-// Common-runtime tests: Status/Result, the CancelToken primitive,
-// string utilities, RNG statistics, metrics, and gold derivation.
+// Common-runtime tests: Status/Result, the CancelToken primitive, the
+// Notification's timed wait, string utilities, RNG statistics, metrics,
+// and gold derivation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <thread>
 
 #include "common/cancel.h"
+#include "common/notification.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -105,6 +108,27 @@ TEST(CancelTokenTest, ParentLinkTightensButNeverWidens) {
 
   EXPECT_TRUE(CheckCancel(nullptr).ok());
   EXPECT_FALSE(CheckCancel(&parent).ok());
+}
+
+TEST(NotificationTest, TimeoutsPastTheClockRangeStillWait) {
+  // Regression: a timeout of 1e10 s or +inf overflowed the conversion
+  // to steady-clock ticks and returned "not notified" at once.
+  for (double timeout : {1e10, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(timeout);
+    Notification event;
+    std::thread notifier([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      event.Notify();
+    });
+    EXPECT_TRUE(event.WaitForNotificationWithTimeout(timeout));
+    notifier.join();
+  }
+  // A timeout <= 0 is a poll.
+  Notification idle;
+  EXPECT_FALSE(idle.WaitForNotificationWithTimeout(0));
+  EXPECT_FALSE(idle.WaitForNotificationWithTimeout(-1));
+  idle.Notify();
+  EXPECT_TRUE(idle.WaitForNotificationWithTimeout(0));
 }
 
 TEST(ResultTest, ValueAndErrorPaths) {

@@ -448,5 +448,62 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// RequestResultKey is the coalescing key: requests share one computation
+// exactly when their keys match, so it must change exactly when a mapping
+// option can change a result.
+// ---------------------------------------------------------------------------
+
+TEST(RequestResultKeyTest, ChangesExactlyForResultAffectingMappingOptions) {
+  // Binding every field by name: a new MappingGenOptions field stops this
+  // compiling until it gets a row below.
+  MappingGenOptions defaults;
+  [[maybe_unused]] const auto& [metric, calibration_buckets, label_fraction,
+                                min_probability, score_floor, max_probability,
+                                use_blocking, seed, num_threads, cancel] =
+      defaults;
+
+  CancelToken token;
+  struct Row {
+    const char* field;
+    std::function<void(MappingGenOptions*)> perturb;
+    bool affects_results;
+  };
+  const Row rows[] = {
+      {"metric",
+       [](MappingGenOptions* m) { m->metric = StringMetric::kJaro; }, true},
+      {"calibration_buckets",
+       [](MappingGenOptions* m) { m->calibration_buckets = 20; }, true},
+      {"label_fraction",
+       [](MappingGenOptions* m) { m->label_fraction = 0.25; }, true},
+      {"min_probability",
+       [](MappingGenOptions* m) { m->min_probability = 0.1; }, true},
+      {"score_floor", [](MappingGenOptions* m) { m->score_floor = 0.3; },
+       true},
+      {"max_probability",
+       [](MappingGenOptions* m) { m->max_probability = 0.9; }, true},
+      {"use_blocking", [](MappingGenOptions* m) { m->use_blocking = false; },
+       true},
+      {"seed", [](MappingGenOptions* m) { m->seed = 18; }, true},
+      // Bit-identity contract: the mapping is the same at every thread
+      // count, and a fired token fails the call, never changes an answer.
+      {"num_threads", [](MappingGenOptions* m) { m->num_threads = 3; },
+       false},
+      {"cancel", [&token](MappingGenOptions* m) { m->cancel = &token; },
+       false},
+  };
+  auto key = [](const MappingGenOptions& mapping) {
+    return RequestResultKey("c1|c2", "SELECT 1", "SELECT 2", {}, mapping, {},
+                            Explain3DConfig{});
+  };
+  const std::string base = key(defaults);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    MappingGenOptions mapping;
+    row.perturb(&mapping);
+    EXPECT_EQ(key(mapping) != base, row.affects_results);
+  }
+}
+
 }  // namespace
 }  // namespace explain3d

@@ -1,7 +1,7 @@
 // Graceful-degradation suite: the fault-injection spec language, the
 // anytime greedy fallback (Explain3DConfig::portfolio), the service
-// retry/backoff policy, the health state machine, and the wall-clock
-// watchdog.
+// retry/backoff policy, the health state machine, and deadlines that
+// expire while the pipeline sits between cooperative polls.
 //
 // Contract under test: pressure NEVER produces a silent wrong answer.
 // Either the exact result arrives, or the call fails with the caller's
@@ -347,7 +347,7 @@ TEST(DegradationTest, InjectedMilpFaultSurfacesAsUnavailable) {
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
 }
 
-// --- service retry / health / watchdog --------------------------------------
+// --- service retry / health / deadlines -------------------------------------
 
 ExplanationRequest ServiceRequest(const SyntheticDataset& data,
                                   DatabaseHandle h1, DatabaseHandle h2) {
@@ -495,7 +495,7 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToPortfolio) {
   }
   ASSERT_EQ(service.Stats().running, 1u);
 
-  // ...then flood the queue past overload_queue_factor × 1.
+  // ...then flood the queue past the overload depth (4 × 1).
   std::vector<TicketPtr> flood;
   for (int i = 0; i < 4; ++i) {
     flood.push_back(service.Submit(ServiceRequest(easy_data, e1, e2)));
@@ -596,18 +596,16 @@ TEST(ServiceResilienceTest, FlippedRequestLeadsNoCoalescingGroup) {
   EXPECT_EQ(service.Stats().coalesced_hits, 0u);
 }
 
-TEST(ServiceResilienceTest, WatchdogFiresDeadlineDuringStalledPoll) {
+TEST(ServiceResilienceTest, DeadlineFiresDuringStalledPoll) {
   SyntheticDataset data = DegradeTestData(63, 24);
-  ServiceOptions options;
-  options.watchdog_interval_seconds = 0.01;
-  Explain3DService service(options);
+  Explain3DService service;
   DatabaseHandle h1 = service.RegisterDatabase("d1", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("d2", data.db2);
 
   // The oracle stalls the pipeline between cooperative polls for far
-  // longer than the request's deadline: without the watchdog the token
-  // would fire only at the NEXT natural poll; with it, fired_event
-  // waiters (and the fires counter) see the expiry within one interval.
+  // longer than the request's deadline. A waiter passing the deadline
+  // leaves the RUNNING ticket to its worker, whose next natural poll
+  // fails the run: one kDeadlineExceeded, counted once.
   ExplanationRequest req = ServiceRequest(data, h1, h2);
   req.deadline_seconds = 0.15;
   req.calibration_oracle = [](const CanonicalRelation&,
@@ -621,8 +619,8 @@ TEST(ServiceResilienceTest, WatchdogFiresDeadlineDuringStalledPoll) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   ServiceStats stats = service.Stats();
-  EXPECT_GE(stats.watchdog_fires, 1u);
   EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.completed, 0u);
 }
 
 }  // namespace

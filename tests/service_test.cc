@@ -355,6 +355,57 @@ TEST(ServiceTicketTest, DeadlineExpiresWhileQueued) {
   EXPECT_EQ(stats.cancelled, 0u);
 }
 
+TEST(ServiceTicketTest, QueuedRequestExpiresAtItsDeadlineWhileWorkerIsBusy) {
+  // No worker polls a QUEUED request's token, so its waiter does: WaitFor
+  // expires the ticket at its deadline instead of waiting for a worker
+  // to claim it.
+  ServiceOptions options;
+  options.max_concurrency = 1;
+  Explain3DService service(options);
+  SyntheticDataset data = MakeData(22, 60);
+  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
+
+  Notification entered, release;
+  ExplanationRequest blocker = MakeRequest(data, h1, h2);
+  blocker.calibration_oracle = ParkedOracle(&entered, &release);
+  TicketPtr blocked = service.Submit(blocker);
+  entered.WaitForNotification();
+
+  // Admitted and queued: a fresh service has no run-time estimate yet.
+  constexpr double kDeadline = 0.3;
+  ExplanationRequest queued = MakeRequest(data, h1, h2);
+  queued.deadline_seconds = kDeadline;
+  const auto submitted = std::chrono::steady_clock::now();
+  TicketPtr t = service.Submit(queued);
+  const Result<PipelineResult>* r = t->WaitFor(2.0);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - submitted)
+                             .count();
+  const bool still_parked = blocked->TryGet() == nullptr;
+  ServiceStats stats = service.Stats();
+  // Unpark before any assertion can end the test with the worker held.
+  release.Notify();
+  EXPECT_TRUE(blocked->Wait().ok());
+
+  ASSERT_NE(r, nullptr) << "the queued request waited for a worker";
+  EXPECT_EQ(r->status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(elapsed, kDeadline);
+  EXPECT_LT(elapsed, kDeadline + 0.2);
+  EXPECT_TRUE(still_parked);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.queue_depth, 0u);  // terminal, no longer pending
+
+  // FIFO: the worker reaps the expired ticket before it reaches the next
+  // request, without running or recounting it.
+  TicketPtr next = service.Submit(MakeRequest(data, h1, h2));
+  EXPECT_TRUE(next->Wait().ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+}
+
 TEST(ServiceTicketTest, DestructionCancelsQueuedRequests) {
   SyntheticDataset data = MakeData(18, 60);
   Notification entered, release;
@@ -1084,6 +1135,88 @@ TEST(ServiceCoalesceTest, FollowerAttachesWhileLeaderRuns) {
   EXPECT_EQ(stats.completed_degraded, 2u);
 }
 
+TEST(ServiceCoalesceTest, FollowersExpireTheirOwnDeadlinesWhileLeaderRuns) {
+  ServiceOptions options;
+  options.max_concurrency = 1;
+  Explain3DService service(options);
+  SyntheticDataset data = MakeData(54);
+  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
+
+  // The FollowerAttachesWhileLeaderRuns leader: an oracle-free portfolio
+  // hard solve that runs its full 2 s and completes with the greedy
+  // leg's answer.
+  ExplanationRequest leader_req = MakeHardSolveRequest(data, h1, h2);
+  leader_req.config.portfolio = true;
+  leader_req.deadline_seconds = 2.0;
+  TicketPtr leader = service.Submit(leader_req);
+  while (service.Stats().running == 0 && leader->TryGet() == nullptr) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(leader->TryGet(), nullptr) << "leader finished before attach";
+
+  // Three identical followers with short deadlines. No worker polls a
+  // follower's token, so each expires itself when a waiter finds its
+  // deadline passed — one through each of Wait, WaitFor and TryGet.
+  constexpr double kDeadline = 0.3;
+  std::vector<TicketPtr> followers;
+  std::vector<std::chrono::steady_clock::time_point> submitted;
+  for (int i = 0; i < 3; ++i) {
+    ExplanationRequest req = leader_req;
+    req.deadline_seconds = kDeadline;
+    submitted.push_back(std::chrono::steady_clock::now());
+    followers.push_back(service.Submit(std::move(req)));
+  }
+  EXPECT_EQ(service.Stats().queue_depth, 0u);  // all three are followers
+  EXPECT_EQ(followers[2]->TryGet(), nullptr);  // not due yet
+
+  // One waiter thread per follower, each resolving it on its own.
+  auto since = [&](size_t i) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         submitted[i])
+        .count();
+  };
+  std::vector<const Result<PipelineResult>*> results(3, nullptr);
+  std::vector<double> resolved_after(3, 0);
+  std::vector<std::thread> waiters;
+  waiters.emplace_back([&] {
+    results[0] = &followers[0]->Wait();
+    resolved_after[0] = since(0);
+  });
+  waiters.emplace_back([&] {
+    results[1] = followers[1]->WaitFor(30.0);
+    resolved_after[1] = since(1);
+  });
+  waiters.emplace_back([&] {
+    while ((results[2] = followers[2]->TryGet()) == nullptr && since(2) < 30) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    resolved_after[2] = since(2);
+  });
+  for (std::thread& w : waiters) w.join();
+  for (size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_NE(results[i], nullptr);
+    EXPECT_EQ(results[i]->status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_GE(resolved_after[i], kDeadline);
+    EXPECT_LT(resolved_after[i], kDeadline + 0.2);
+  }
+  EXPECT_EQ(leader->TryGet(), nullptr) << "the leader must still be running";
+
+  // The leader completes as it would alone, sharing with no one, and
+  // each follower counted once.
+  const Result<PipelineResult>* lr = leader->WaitFor(60.0);
+  ASSERT_NE(lr, nullptr);
+  ASSERT_TRUE(lr->ok()) << lr->status().ToString();
+  EXPECT_TRUE(lr->value().degraded());
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.deadline_exceeded, 3u);
+  EXPECT_EQ(stats.coalesced_hits, 0u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.completed_degraded, 1u);
+}
+
 TEST(ServiceCoalesceTest, CancelledQueuedLeaderPromotesFollower) {
   ServiceOptions options;
   options.max_concurrency = 1;
@@ -1389,21 +1522,34 @@ TEST(ServiceAdmissionTest, KeyedEstimateAdmitsWarmPairDespiteSlowGlobal) {
   DatabaseHandle f1 = service.RegisterDatabase("fleft", fast.db1);
   DatabaseHandle f2 = service.RegisterDatabase("fright", fast.db2);
 
-  // Warm both keyed rings: 3 completions each. The slow pair's oracle
-  // sleeps 1.5 s per run (oracles run every execution, warm or cold),
-  // so half the global window is ~1.5 s samples.
+  // Warm both keyed rings: 3 completions each. Every time below scales
+  // with the fast pair's slowest warm-up run (its wall time bounds the
+  // run time from above), so the test holds in slow sanitizer builds.
+  // The slow pair's oracle sleeps 4x that per run (oracles run every
+  // execution, warm or cold), so half the global window is slow.
+  double fast_max = 0;
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    TicketPtr t = service.Submit(MakeRequest(fast, f1, f2));
+    ASSERT_TRUE(t->Wait().ok());
+    fast_max = std::max(fast_max, std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() -
+                                      start)
+                                      .count());
+  }
+  const double slow_sleep = std::max(0.1, 4 * fast_max);
   auto slow_req = [&] {
     ExplanationRequest req = MakeRequest(slow, s1, s2);
-    req.calibration_oracle = SleepOracle(1.5);
+    req.calibration_oracle = SleepOracle(slow_sleep);
     return req;
   };
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(service.Submit(slow_req())->Wait().ok());
-    ASSERT_TRUE(service.Submit(MakeRequest(fast, f1, f2))->Wait().ok());
   }
   ServiceStats warm = service.Stats();
   ASSERT_EQ(warm.completed, 6u);
-  ASSERT_GT(warm.run_seconds.p50, 0.7);  // the global estimate IS poisoned
+  // The global estimate IS poisoned: its median is a slow run.
+  ASSERT_GE(warm.run_seconds.p50, slow_sleep);
 
   // Park the only worker so probes face ahead == max_concurrency (the
   // estimate branch, not the free-slot always-admit path).
@@ -1413,24 +1559,27 @@ TEST(ServiceAdmissionTest, KeyedEstimateAdmitsWarmPairDespiteSlowGlobal) {
   TicketPtr blocked = service.Submit(blocker);
   entered.WaitForNotification();
 
-  // A deadline feasible for the fast pair but not the slow one. Under
-  // the old global estimate BOTH would bounce (~2 × 1.5 s > 1.8 s); the
-  // keyed estimate admits the fast pair...
+  // Behind the busy worker a probe is priced at its wait plus its own
+  // run, 2 × p50. The fast pair's keyed p50 is at most fast_max and the
+  // slow pair's at least slow_sleep, so this deadline is feasible for the
+  // fast pair but not the slow one. Under the global estimate BOTH would
+  // bounce (2 × slow_sleep > deadline); the keyed estimate admits the
+  // fast pair...
+  const double deadline = fast_max + slow_sleep;
   ExplanationRequest fast_probe = MakeRequest(fast, f1, f2);
-  fast_probe.deadline_seconds = 1.8;
+  fast_probe.deadline_seconds = deadline;
   TicketPtr admitted = service.Submit(fast_probe);
   EXPECT_EQ(admitted->TryGet(), nullptr)
       << "fast pair must admit on its own (warm) keyed estimate";
   // ...and still rejects the slow pair on ITS keyed history.
   ExplanationRequest slow_probe = slow_req();
-  slow_probe.deadline_seconds = 1.8;
+  slow_probe.deadline_seconds = deadline;
   TicketPtr rejected = service.Submit(slow_probe);
   const Result<PipelineResult>* r = rejected->TryGet();
-  ASSERT_NE(r, nullptr) << "slow-pair probe must reject synchronously";
-  EXPECT_EQ(r->status().code(), StatusCode::kUnavailable);
-
   release.Notify();
   EXPECT_TRUE(blocked->Wait().ok());
+  ASSERT_NE(r, nullptr) << "slow-pair probe must reject synchronously";
+  EXPECT_EQ(r->status().code(), StatusCode::kUnavailable);
   const Result<PipelineResult>* ar = admitted->WaitFor(60.0);
   ASSERT_NE(ar, nullptr);
   EXPECT_NE(ar->status().code(), StatusCode::kUnavailable);

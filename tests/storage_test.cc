@@ -3,9 +3,10 @@
 // truncated or bit-flipped files are rejected with kCorruption, never a
 // crash or a silently different block; the artifact store's commit
 // protocol survives a 100-seed injected-fault sweep over every crash
-// window (storage.write / storage.fsync / storage.rename); and a service
+// window (storage.write / storage.fsync / storage.rename); a service
 // restarted over a snapshot answers its first repeated request from the
-// warm cache, bit-identically, with warm-started solves.
+// warm cache, bit-identically, with warm-started solves; and concurrent
+// snapshots into one directory leave a clean store.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -165,6 +167,21 @@ std::string FreshDir(const std::string& name) {
   std::string dir = TempPath(name);
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+/// Flips one byte in the middle of a committed snapshot file in `dir`.
+void DamageOneArtifactFile(const std::string& dir) {
+  std::string victim;
+  Result<std::vector<std::string>> files = storage::ListDirectoryFiles(dir);
+  ASSERT_TRUE(files.ok());
+  for (const std::string& name : files.value()) {
+    if (name.rfind("art-", 0) == 0) victim = storage::JoinPath(dir, name);
+  }
+  ASSERT_FALSE(victim.empty());
+  std::vector<uint8_t> bytes = storage::ReadFileBytes(victim).value();
+  bytes[bytes.size() / 2] ^= 0x01;
+  ASSERT_TRUE(
+      storage::WriteFileAtomic(victim, bytes.data(), bytes.size()).ok());
 }
 
 // --- checksum + content hash ------------------------------------------------
@@ -417,18 +434,7 @@ TEST(ArtifactStoreTest, VerifyAllAndLoadRejectDamage) {
     ASSERT_TRUE(store.value().PutArtifacts(key, *art).ok());
     ASSERT_TRUE(store.value().Commit().ok());
   }
-  // Flip one byte in the middle of the committed snapshot file.
-  std::string victim;
-  Result<std::vector<std::string>> files = storage::ListDirectoryFiles(dir);
-  ASSERT_TRUE(files.ok());
-  for (const std::string& name : files.value()) {
-    if (name.rfind("art-", 0) == 0) victim = storage::JoinPath(dir, name);
-  }
-  ASSERT_FALSE(victim.empty());
-  std::vector<uint8_t> bytes = storage::ReadFileBytes(victim).value();
-  bytes[bytes.size() / 2] ^= 0x01;
-  ASSERT_TRUE(
-      storage::WriteFileAtomic(victim, bytes.data(), bytes.size()).ok());
+  ASSERT_NO_FATAL_FAILURE(DamageOneArtifactFile(dir));
 
   Result<ArtifactStore> store = ArtifactStore::Open(dir);
   ASSERT_TRUE(store.ok());  // manifest itself is intact
@@ -610,42 +616,62 @@ TEST(ServicePersistenceTest, WarmRestartAnswersBitIdenticallyFromDisk) {
   EXPECT_GT(warm.warm_start_hits, 0u);  // solve seeded from restored record
   EXPECT_EQ(t->Wait().value().artifacts().get(), restored_block.get());
   ExpectPipelineResultsBitIdentical(t->Wait().value(), first);
+
+  // One damaged committed file fails the whole restore: everything is
+  // verified before the first insert, so the cache stays empty.
+  ASSERT_NO_FATAL_FAILURE(DamageOneArtifactFile(dir));
+  Explain3DService damaged;
+  EXPECT_EQ(damaged.RestoreFrom(dir).code(), StatusCode::kCorruption);
+  ServiceStats empty = damaged.Stats();
+  EXPECT_EQ(empty.cache_entries, 0u);
+  EXPECT_EQ(empty.incumbent_entries, 0u);
+  EXPECT_EQ(empty.restored_entries, 0u);
+  EXPECT_EQ(empty.restored_incumbents, 0u);
 }
 
-// The write-behind path: a service with persist_dir set persists its
-// entries without any explicit snapshot call, and a restarted service
-// over the same directory restores them at construction.
-TEST(ServicePersistenceTest, WriteBehindPersistsAndRestoresAcrossRestart) {
-  const std::string dir = FreshDir("write-behind");
-  SyntheticDataset data = MakeData(52);
-  ServiceOptions opts;
-  opts.persist_dir = dir;
-  opts.persist_interval_seconds = 0;  // drain via FlushPersistence below
-  PipelineResult first;
-  {
-    Explain3DService a(opts);
-    DatabaseHandle h1 = a.RegisterDatabase("left", data.db1);
-    DatabaseHandle h2 = a.RegisterDatabase("right", data.db2);
-    TicketPtr t = a.Submit(MakeServiceRequest(data, h1, h2));
-    ASSERT_TRUE(t->Wait().ok());
-    first = t->Wait().value();
-    ASSERT_TRUE(a.FlushPersistence().ok());
-    EXPECT_GT(a.Stats().persisted_entries, 0u);
-    // A second flush with nothing new dirty writes nothing.
-    ASSERT_TRUE(a.FlushPersistence().ok());
-  }
+// SnapshotTo opens its own store per call. Two stores on one directory
+// share temp-file names and would race their commits, so concurrent
+// calls take turns: two threads snapshotting at once while requests run
+// must leave a store that verifies clean and restores every entry.
+TEST(ServicePersistenceTest, ConcurrentSnapshotsLeaveACleanStore) {
+  const std::string dir = FreshDir("concurrent-snapshots");
+  SyntheticDataset left = MakeData(52), right = MakeData(53);
+  Explain3DService service;
+  DatabaseHandle l1 = service.RegisterDatabase("l1", left.db1);
+  DatabaseHandle l2 = service.RegisterDatabase("l2", left.db2);
+  DatabaseHandle r1 = service.RegisterDatabase("r1", right.db1);
+  DatabaseHandle r2 = service.RegisterDatabase("r2", right.db2);
+  TicketPtr warm = service.Submit(MakeServiceRequest(left, l1, l2));
+  ASSERT_TRUE(warm->Wait().ok());
 
-  Explain3DService b(opts);  // restore_on_start defaults to true
-  ServiceStats restored = b.Stats();
-  EXPECT_EQ(restored.restored_entries, 1u);
-  EXPECT_EQ(restored.persist_errors, 0u);
-  DatabaseHandle h1 = b.RegisterDatabase("left", data.db1);
-  DatabaseHandle h2 = b.RegisterDatabase("right", data.db2);
-  TicketPtr t = b.Submit(MakeServiceRequest(data, h1, h2));
-  ASSERT_TRUE(t->Wait().ok());
-  EXPECT_EQ(b.Stats().warm_hits, 1u);
-  EXPECT_EQ(b.Stats().cold_misses, 0u);
-  ExpectPipelineResultsBitIdentical(t->Wait().value(), first);
+  std::vector<TicketPtr> running;
+  for (int i = 0; i < 6; ++i) {
+    running.push_back(service.Submit(i % 2 == 0
+                                         ? MakeServiceRequest(right, r1, r2)
+                                         : MakeServiceRequest(left, l1, l2)));
+  }
+  Status first, second;
+  auto snapshot_loop = [&](Status* status) {
+    for (int i = 0; i < 4 && status->ok(); ++i) {
+      *status = service.SnapshotTo(dir);
+    }
+  };
+  std::thread a(snapshot_loop, &first);
+  std::thread b(snapshot_loop, &second);
+  a.join();
+  b.join();
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_TRUE(second.ok()) << second.ToString();
+  for (const TicketPtr& t : running) ASSERT_TRUE(t->Wait().ok());
+
+  Result<ArtifactStore> store = ArtifactStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store.value().VerifyAll(), Status::OK());
+  // One more snapshot after the requests: the image holds both pairs.
+  ASSERT_TRUE(service.SnapshotTo(dir).ok());
+  Explain3DService restored;
+  ASSERT_TRUE(restored.RestoreFrom(dir).ok());
+  EXPECT_EQ(restored.Stats().restored_entries, 2u);
 }
 
 }  // namespace
