@@ -10,7 +10,7 @@
 // the cached artifacts instead of copying them, so each warm call pays
 // for candidate scoring + calibration + stage 2 only. Entries are
 // byte-accounted and LRU-evicted under an optional budget
-// (Explain3DConfig::cache_budget_bytes).
+// (MatchingContext::set_budget_bytes, or the constructor argument).
 //
 // This file is the compiled twin of the usage example in docs/API.md —
 // CI builds and runs it, so the documented snippet cannot rot.
@@ -85,10 +85,9 @@ int main() {
   // LRU order. Serve two keys (the pair and its mirror) under a budget
   // that fits only one block — the older entry is evicted, warm service
   // continues for the newer one, and `last` stays valid regardless.
-  Explain3DConfig budgeted;
-  budgeted.cache_budget_bytes = 1;  // absurdly small: keeps 1 entry (LRU
-                                    // never evicts the newest block)
-  Result<PipelineResult> straight = RunExplain3D(input, budgeted);
+  context.set_budget_bytes(1);  // absurdly small: keeps 1 entry (LRU
+                                // never evicts the newest block)
+  Result<PipelineResult> straight = RunExplain3D(input, Explain3DConfig{});
   PipelineInput mirrored = input;
   std::swap(mirrored.db1, mirrored.db2);
   std::swap(mirrored.sql1, mirrored.sql2);
@@ -96,7 +95,7 @@ int main() {
   // the calibration oracle's row→entity vectors.
   mirrored.calibration_oracle =
       MakeRowEntityOracle(data.row_entities2, data.row_entities1);
-  Result<PipelineResult> mirror = RunExplain3D(mirrored, budgeted);
+  Result<PipelineResult> mirror = RunExplain3D(mirrored, Explain3DConfig{});
   if (!straight.ok() || !mirror.ok()) {
     std::fprintf(stderr, "budgeted runs failed\n");
     return 1;

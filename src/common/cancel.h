@@ -58,8 +58,9 @@ class CancelToken {
   /// A token with no deadline: fires only via Cancel() (or its parent).
   CancelToken() = default;
 
-  /// \brief A token that fires `deadline_seconds` from NOW (<= 0 means
-  /// no deadline), optionally nested under `parent`.
+  /// \brief A token that fires `deadline_seconds` from NOW, optionally
+  /// nested under `parent`. A deadline <= 0, or past kMaxClockSeconds
+  /// (+inf included), means none.
   ///
   /// A linked token reports the parent's status first, so a child scope
   /// can only tighten the parent's budget, never extend it. The parent
@@ -68,7 +69,7 @@ class CancelToken {
   explicit CancelToken(double deadline_seconds,
                        const CancelToken* parent = nullptr)
       : parent_(parent) {
-    if (deadline_seconds > 0) {
+    if (deadline_seconds > 0 && deadline_seconds <= kMaxClockSeconds) {
       has_deadline_ = true;
       deadline_seconds_ = deadline_seconds;
       deadline_ = std::chrono::steady_clock::now() +

@@ -15,6 +15,12 @@
 
 namespace explain3d {
 
+/// Longest span put on the steady clock (about 31 years). Converted to
+/// the clock's nanosecond ticks, a span past ~9.2e9 s (+inf included)
+/// overflows and lands in the past, so Notification waits a longer
+/// timeout without one and CancelToken treats a longer deadline as none.
+inline constexpr double kMaxClockSeconds = 1e9;
+
 /// A one-shot event. Thread-safe; Notify() must be called at most once.
 /// Waiters that arrive after the notification return immediately.
 class Notification {
@@ -46,14 +52,13 @@ class Notification {
   }
 
   /// Blocks up to `seconds`; returns whether the event fired in time.
-  /// A timeout <= 0 is a poll. One past kMaxTimedWaitSeconds (+inf
-  /// included) waits without a timeout: converted to the steady clock's
-  /// nanosecond ticks it would overflow and return at once.
+  /// A timeout <= 0 is a poll. One past kMaxClockSeconds (+inf
+  /// included) waits without a timeout.
   bool WaitForNotificationWithTimeout(double seconds) const {
     std::unique_lock<std::mutex> lock(mu_);
     auto fired = [this] { return notified_; };
     if (!(seconds > 0)) return notified_;
-    if (seconds > kMaxTimedWaitSeconds) {
+    if (seconds > kMaxClockSeconds) {
       cv_.wait(lock, fired);
       return true;
     }
@@ -61,9 +66,6 @@ class Notification {
   }
 
  private:
-  /// Longest timeout waited on the clock (about 31 years).
-  static constexpr double kMaxTimedWaitSeconds = 1e9;
-
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   bool notified_ = false;

@@ -92,15 +92,6 @@ struct Explain3DConfig {
   /// environment override when set (CI uses it to exercise the parallel
   /// paths). 1 = run serially on the calling thread.
   size_t num_threads = 0;
-
-  // --- stage-1 caching ---
-  /// Byte budget of the MatchingContext passed in PipelineInput (summed
-  /// ApproxBytes of the cached Stage1Artifacts blocks): when nonzero,
-  /// RunExplain3D forwards it to the context, which evicts
-  /// least-recently-used entries past the budget. 0 = unlimited.
-  /// Explain3DService surfaces the same knob as
-  /// ServiceOptions::cache_budget_bytes.
-  size_t cache_budget_bytes = 0;
 };
 
 }  // namespace explain3d

@@ -108,7 +108,7 @@ class MatchingContext {
   using Builder = std::function<Result<ArtifactsPtr>()>;
 
   /// \brief `budget_bytes` caps the summed ApproxBytes of all entries;
-  /// 0 = unlimited (Explain3DConfig::cache_budget_bytes forwards here).
+  /// 0 = unlimited.
   explicit MatchingContext(size_t budget_bytes = 0)
       : budget_bytes_(budget_bytes) {}
 

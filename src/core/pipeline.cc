@@ -178,9 +178,6 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
   std::string stage1_key;
   if (input.matching_context != nullptr) {
     stage1_key = Stage1CacheKey(input, EffectiveDbIdentity(input));
-    if (config.cache_budget_bytes > 0) {
-      input.matching_context->set_budget_bytes(config.cache_budget_bytes);
-    }
     E3D_ASSIGN_OR_RETURN(
         out.artifacts_,
         input.matching_context->GetOrBuild(

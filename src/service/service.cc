@@ -35,6 +35,21 @@ bool KeyUsesIdentity(const std::string& key, const std::string& tag) {
   return bar != std::string::npos && component_at(bar + 1);
 }
 
+/// Whether `result` is the firing of the ticket's own `token` — a
+/// cancel or its request deadline — rather than an answer. The test is
+/// "did THIS ticket's token fire", not the status code alone: a
+/// kDeadlineExceeded produced by the request's config
+/// (milp_time_limit_seconds, a child token) with no request deadline is
+/// an ordinary failed completion, not scheduler deadline pressure.
+bool InterruptedByOwnToken(const Result<PipelineResult>& result,
+                           const CancelToken* token) {
+  if (result.ok()) return false;
+  const StatusCode code = result.status().code();
+  return (code == StatusCode::kCancelled ||
+          code == StatusCode::kDeadlineExceeded) &&
+         !CheckCancel(token).ok();
+}
+
 LatencySummary Summarize(std::vector<double> v) {
   LatencySummary s;
   if (v.empty()) return s;
@@ -52,6 +67,28 @@ LatencySummary Summarize(std::vector<double> v) {
 }
 
 }  // namespace
+
+/// Shared_ptr-owned: tickets outlive the service. No other lock is ever
+/// taken while mu_ is held.
+class ServiceLedger {
+ public:
+  /// Applies `update` to the counts under the ledger's lock.
+  template <typename Update>
+  void Apply(Update&& update) {
+    std::lock_guard<std::mutex> lock(mu_);
+    update(counts_);
+  }
+
+  /// A consistent copy of every counter.
+  ServiceCounts Snapshot() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  ServiceCounts counts_;
+};
 
 const char* ServiceHealthName(ServiceHealth health) {
   switch (health) {
@@ -115,13 +152,7 @@ bool RequestTicket::AwaitDone(double seconds) {
 bool RequestTicket::ExpireIfFired() {
   Status fired = CheckCancel(token_.get());
   if (fired.ok()) return false;
-  // Only a deadline can fire a queued ticket's token: Cancel() completes
-  // a queued ticket before it fires the token.
-  if (fired.code() == StatusCode::kDeadlineExceeded) {
-    CompleteIfQueued(std::move(fired), [this] {
-      if (counters_) counters_->deadline_exceeded.fetch_add(1);
-    });
-  }
+  Finish(std::move(fired), Source::kOwn, State::kQueued);
   return true;
 }
 
@@ -129,56 +160,56 @@ bool RequestTicket::Cancel() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (state_ == State::kDone) return false;
-    if (state_ == State::kRunning) {
-      // Delivered cooperatively: the worker owns completion. The token
-      // fires here; the pipeline observes it at its next cancellation
-      // point (node granularity in stage 2) and the worker completes the
-      // ticket with kCancelled — unless the run finished inside the race
-      // window, in which case its real result stands.
-      if (token_ != nullptr) token_->Cancel();
-      return true;
-    }
-    // Still queued: this call wins the claim race outright.
-    state_ = State::kDone;
-    result_.emplace(Status::Cancelled("request cancelled before it ran"));
-    // The request is dead weight from here on (gold labels and oracle
-    // closures can pin O(rows) state for the ticket's whole lifetime).
-    request_ = ExplanationRequest();
+    // Fire first, so whoever finishes the ticket finds its own token
+    // fired: this call below while it is queued, or else its worker, at
+    // the pipeline's next cancellation point (node granularity in stage
+    // 2) — unless the run finished inside the race window, in which case
+    // its real result stands.
+    token_->Cancel();
   }
-  // Keep the token consistent for anything still polling it.
-  if (token_ != nullptr) token_->Cancel();
-  // Count before notifying: a waiter released by this cancellation
-  // already sees it in the stats.
-  if (counters_) counters_->cancelled.fetch_add(1);
-  done_.Notify();
+  Finish(Status::Cancelled("request cancelled before it ran"), Source::kOwn,
+         State::kQueued);
   return true;
 }
 
-void RequestTicket::Complete(Result<PipelineResult> result) {
+bool RequestTicket::Finish(Result<PipelineResult> result, Source source,
+                           State from) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (state_ != from) return false;
     state_ = State::kDone;
-    result_.emplace(std::move(result));
     // Only the result matters now; free the request's label/oracle state
-    // (the completing worker is done reading it).
+    // (gold labels and oracle closures can pin O(rows) state for the
+    // ticket's whole lifetime).
     request_ = ExplanationRequest();
-  }
-  done_.Notify();
-}
-
-bool RequestTicket::CompleteIfQueued(Result<PipelineResult> result,
-                                     const std::function<void()>& on_win) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (state_ != State::kQueued) return false;
-    state_ = State::kDone;
     result_.emplace(std::move(result));
-    request_ = ExplanationRequest();
-    // The winner's counters bump inside the claim, before waiters
-    // release: a caller woken by Wait() below must already see its own
-    // request counted.
-    if (on_win) on_win();
   }
+  const Result<PipelineResult>& r = *result_;
+  const bool interrupted =
+      source == Source::kOwn && InterruptedByOwnToken(r, token_.get());
+  ledger_->Apply([&](ServiceCounts& c) {
+    if (source == Source::kQuotaRejected) {
+      ++c.quota_rejected;
+    } else if (source == Source::kAdmissionRejected) {
+      ++c.rejected;
+    } else if (interrupted) {
+      ++(r.status().code() == StatusCode::kCancelled ? c.cancelled
+                                                     : c.deadline_exceeded);
+    } else {
+      ++c.completed;
+      if (source == Source::kShared) ++c.coalesced_hits;
+      if (!r.ok()) ++c.failed;
+      // OK results marked degraded() came from the portfolio's greedy
+      // leg; everything else counts as the exact path.
+      ++(r.ok() && r.value().degraded() ? c.completed_degraded
+                                        : c.completed_exact);
+      if (r.ok() && source == Source::kOwn) {
+        c.warm_start_hits += r.value().core().stats.warm_start_hits;
+      }
+    }
+  });
+  // Counted before waking: a caller released by Wait() already sees its
+  // own request in the stats.
   done_.Notify();
   return true;
 }
@@ -188,6 +219,7 @@ bool RequestTicket::CompleteIfQueued(Result<PipelineResult> result,
 Explain3DService::Explain3DService(ServiceOptions options)
     : options_(options),
       max_concurrency_(ResolveThreads(options.max_concurrency)),
+      ledger_(std::make_shared<ServiceLedger>()),
       cache_(options.cache_budget_bytes) {
   // Requests occupy pool workers for their whole run; make sure the pool
   // can hold max_concurrency_ of them (nested ParallelFor calls remain
@@ -196,8 +228,7 @@ Explain3DService::Explain3DService(ServiceOptions options)
 }
 
 Explain3DService::~Explain3DService() {
-  std::deque<TicketPtr> orphans;
-  std::vector<TicketPtr> running;
+  std::vector<TicketPtr> orphans;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
@@ -216,21 +247,14 @@ Explain3DService::~Explain3DService() {
       for (TicketPtr& f : group.followers) orphans.push_back(std::move(f));
     }
     coalesce_groups_.clear();
-    if (options_.cancel_running_on_destruction) {
-      running = running_tickets_;
-    }
   }
   // Never-claimed requests terminate as cancelled; their tickets stay
   // valid past the service's lifetime (callers share ownership). Cancel
-  // itself counts the ones it wins (the rest were already counted by the
-  // caller's Cancel).
+  // is a no-op on the ones already terminal.
   for (const TicketPtr& t : orphans) t->Cancel();
   // In-flight pipelines hold keep-alive references into this service
   // (cache_, registry slots), so the destructor must not return before
-  // every runner exits. By default they drain to completion; under
-  // cancel_running_on_destruction their tokens fire first, bounding the
-  // wait to the cooperative cancellation latency.
-  for (const TicketPtr& t : running) t->Cancel();
+  // every runner exits: running requests drain to completion.
   {
     std::unique_lock<std::mutex> lock(mu_);
     idle_cv_.wait(lock, [this] { return active_runners_ == 0; });
@@ -334,8 +358,8 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
   ticket->client_id_ = options.client_id;
   ticket->request_ = std::move(request);
   ticket->submit_time_ = std::chrono::steady_clock::now();
-  ticket->counters_ = counters_;
-  counters_->submitted.fetch_add(1);
+  ticket->ledger_ = ledger_;
+  ledger_->Apply([](ServiceCounts& c) { ++c.submitted; });
 
   const ExplanationRequest& req = ticket->request_;
   // Resolve the handles up front, outside mu_, when any identity-keyed
@@ -453,7 +477,7 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
             EvaluateHealthLocked() == ServiceHealth::kOverloaded) {
           ticket->request_.config.portfolio = true;
           coalesce_key.clear();
-          auto_degraded_.fetch_add(1);
+          ledger_->Apply([](ServiceCounts& c) { ++c.auto_degraded; });
         }
         ticket->seq_ = next_seq_++;
         if (!coalesce_key.empty()) {
@@ -475,25 +499,27 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
     return ticket;
   }
   if (quota_reject) {
-    // Count before completing (see ServiceCounters) — and separately
-    // from admission rejects: the flooding client is told to back off
-    // while everyone else's traffic is untouched.
-    counters_->quota_rejected.fetch_add(1);
-    ticket->Complete(Status::ResourceExhausted(StrFormat(
-        "per-client quota: client '%s' already has %zu requests queued "
-        "(per_client_max_queued = %zu)",
-        options.client_id.c_str(), client_queued,
-        options_.per_client_max_queued)));
+    // Counted apart from admission rejects: the flooding client is told
+    // to back off while everyone else's traffic is untouched.
+    ticket->Finish(Status::ResourceExhausted(StrFormat(
+                       "per-client quota: client '%s' already has %zu "
+                       "requests queued (per_client_max_queued = %zu)",
+                       options.client_id.c_str(), client_queued,
+                       options_.per_client_max_queued)),
+                   RequestTicket::Source::kQuotaRejected,
+                   RequestTicket::State::kQueued);
     return ticket;
   }
   if (admission_reject) {
     // Rejected work never ran: it must not touch the cache or the
-    // latency rings. Count before completing (see ServiceCounters).
-    counters_->rejected.fetch_add(1);
-    ticket->Complete(Status::Unavailable(StrFormat(
-        "admission control: estimated wait %.3fs + run %.3fs (%zu ahead "
-        "of %zu workers) exceeds the %.3fs deadline",
-        est_wait, p50_run, ahead, max_concurrency_, deadline)));
+    // latency rings.
+    ticket->Finish(Status::Unavailable(StrFormat(
+                       "admission control: estimated wait %.3fs + run "
+                       "%.3fs (%zu ahead of %zu workers) exceeds the %.3fs "
+                       "deadline",
+                       est_wait, p50_run, ahead, max_concurrency_, deadline)),
+                   RequestTicket::Source::kAdmissionRejected,
+                   RequestTicket::State::kQueued);
     return ticket;
   }
   if (coalesced) {
@@ -617,7 +643,6 @@ void Explain3DService::RunnerLoop() {
       }
       ++running_requests_;
       ++client_inflight_[ticket->client_id_];
-      running_tickets_.push_back(ticket);
     }
     Process(ticket);
     bool respawn = false;
@@ -627,13 +652,6 @@ void Explain3DService::RunnerLoop() {
       auto inflight = client_inflight_.find(ticket->client_id_);
       if (inflight != client_inflight_.end() && --inflight->second == 0) {
         client_inflight_.erase(inflight);
-      }
-      for (size_t i = 0; i < running_tickets_.size(); ++i) {
-        if (running_tickets_[i].get() == ticket.get()) {
-          running_tickets_[i] = std::move(running_tickets_.back());
-          running_tickets_.pop_back();
-          break;
-        }
       }
       // This client's inflight count just dropped: work that parked a
       // sibling runner (quota-blocked pops) may be claimable again, so
@@ -649,28 +667,27 @@ void Explain3DService::RunnerLoop() {
 }
 
 void Explain3DService::Process(const TicketPtr& ticket) {
+  using State = RequestTicket::State;
+  using Source = RequestTicket::Source;
   // Claim kQueued → kRunning. Losing the claim means Cancel() or the
-  // ticket's own deadline expiry completed it while it sat in the queue.
+  // ticket's own deadline expiry finished it while it sat in the queue.
+  bool claimed = false;
   {
-    bool already_terminal = false;
-    {
-      std::lock_guard<std::mutex> lock(ticket->mu_);
-      if (ticket->state_ != RequestTicket::State::kQueued) {
-        already_terminal = true;
-      } else {
-        ticket->state_ = RequestTicket::State::kRunning;
-      }
-    }
-    // Already counted by whoever completed it; just skip. A dead
-    // coalescing LEADER leaves its group headless, though: promote the
-    // oldest live follower before dropping the claim.
-    if (already_terminal) {
-      if (!ticket->coalesce_key_.empty()) ResolveOrPromoteFollowers(ticket);
-      return;
+    std::lock_guard<std::mutex> lock(ticket->mu_);
+    if (ticket->state_ == State::kQueued) {
+      ticket->state_ = State::kRunning;
+      claimed = true;
     }
   }
-  // From here on only this worker completes the ticket; Cancel() can
-  // only fire the token, and Submit stopped writing before the enqueue.
+  // Already counted by whoever finished it; just skip. A dead coalescing
+  // LEADER leaves its group headless, though: promote the oldest live
+  // follower before dropping the claim.
+  if (!claimed) {
+    if (!ticket->coalesce_key_.empty()) ResolveOrPromoteFollowers(ticket);
+    return;
+  }
+  // From here on only this worker finishes the ticket; Cancel() can only
+  // fire the token, and Submit stopped writing before the enqueue.
   const ExplanationRequest& req = ticket->request_;
   const CancelToken* cancel = ticket->token_.get();
   auto claimed_at = std::chrono::steady_clock::now();
@@ -679,16 +696,13 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   // Claim-time poll: a deadline that expired while the request queued
   // (or a cancel that lost the claim race by a hair) fails it before any
   // work happens.
-  if (Status claimed = CheckCancel(cancel); !claimed.ok()) {
-    if (claimed.code() == StatusCode::kCancelled) {
-      counters_->cancelled.fetch_add(1);
-      ticket->Complete(std::move(claimed));
-    } else {
-      counters_->deadline_exceeded.fetch_add(1);
-      ticket->Complete(Status::DeadlineExceeded(StrFormat(
+  if (Status fired = CheckCancel(cancel); !fired.ok()) {
+    if (fired.code() == StatusCode::kDeadlineExceeded) {
+      fired = Status::DeadlineExceeded(StrFormat(
           "request spent %.6fs queued, past its %.6fs deadline", queue_s,
-          req.deadline_seconds)));
+          req.deadline_seconds));
     }
+    ticket->Finish(std::move(fired), Source::kOwn, State::kRunning);
     // A leader dead at claim time has nothing shareable — its followers
     // carry their own tokens; promote the oldest live one.
     if (!ticket->coalesce_key_.empty()) ResolveOrPromoteFollowers(ticket);
@@ -729,11 +743,6 @@ void Explain3DService::Process(const TicketPtr& ticket) {
               // them.
               input.db_identity = db1.value().content_tag + "|" +
                                   db2.value().content_tag;
-              // The cache is shared by every client: its budget is the
-              // service's (ServiceOptions::cache_budget_bytes, applied
-              // at construction), never a single request's.
-              Explain3DConfig config = req.config;
-              config.cache_budget_bytes = 0;
               // Retry loop (see RetryPolicy): re-run TRANSIENT failures
               // (kUnavailable only — injected faults, dropped cache
               // inserts) up to max_attempts times with interruptible,
@@ -749,7 +758,7 @@ void Explain3DService::Process(const TicketPtr& ticket) {
                 Status claim_fault = FAULT_POINT("service.claim");
                 Result<PipelineResult> r =
                     claim_fault.ok()
-                        ? RunExplain3D(input, config)
+                        ? RunExplain3D(input, req.config)
                         : Result<PipelineResult>(std::move(claim_fault));
                 if (r.ok() ||
                     r.status().code() != StatusCode::kUnavailable) {
@@ -788,7 +797,7 @@ void Explain3DService::Process(const TicketPtr& ticket) {
                     cancel->RemainingSeconds()) {
                   return r;
                 }
-                counters_->retries.fetch_add(1);
+                ledger_->Apply([](ServiceCounts& c) { ++c.retries; });
                 // Sleep on the token's event, not the clock: a cancel or
                 // deadline mid-backoff aborts the wait immediately.
                 cancel->fired_event().WaitForNotificationWithTimeout(
@@ -796,18 +805,11 @@ void Explain3DService::Process(const TicketPtr& ticket) {
               }
             }();
 
-  // Account fully before completing: a caller woken by Wait() must see
-  // its own request in the counters and latency series. Interrupted runs
-  // land in their own terminal buckets — they are not "completed" work.
-  // The bucket test is "did THIS ticket's token fire", not the status
-  // code alone: a kDeadlineExceeded produced by the request's config
-  // (milp_time_limit_seconds, a child token) with no request deadline is
-  // an ordinary failed completion, not scheduler deadline pressure.
+  // Record the latencies before finishing: a caller woken by Wait() must
+  // see its own request in the latency series.
   auto finished_at = std::chrono::steady_clock::now();
   double total_s = SecondsBetween(ticket->submit_time_, finished_at);
   double run_s = SecondsBetween(claimed_at, finished_at);
-  StatusCode code = outcome.ok() ? StatusCode::kOk : outcome.status().code();
-  bool ticket_fired = !CheckCancel(cancel).ok();
   // Only runs that reached the pipeline inform the admission cost
   // estimator: a stale-handle rejection resolves in microseconds and
   // says nothing about what the WORK costs — flooding the p50 window
@@ -818,51 +820,27 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   // (injected fault, retried attempt)? Fed for pipeline runs only —
   // stale-handle rejections say nothing about service pressure.
   if (ran_pipeline) NoteRunTransient(transient_seen);
-  // Terminal-by-own-token runs share nothing downstream; everything
-  // else — including deterministic failures, which identical requests
-  // would reproduce identically — fans out to coalesced followers.
-  bool interrupted = ticket_fired && (code == StatusCode::kCancelled ||
-                                      code == StatusCode::kDeadlineExceeded);
-  if (code == StatusCode::kCancelled && ticket_fired) {
-    counters_->cancelled.fetch_add(1);
-    if (ran_pipeline) RecordRunSeconds(ticket->admission_key_, run_s);
-  } else if (code == StatusCode::kDeadlineExceeded && ticket_fired) {
-    counters_->deadline_exceeded.fetch_add(1);
-    if (ran_pipeline) RecordRunSeconds(ticket->admission_key_, run_s);
-  } else {
-    counters_->completed.fetch_add(1);
-    // Solver split (completed == exact + degraded): OK results marked
-    // degraded() came from the portfolio's greedy leg; everything else —
-    // including failed completions — counts as the exact path.
-    if (outcome.ok() && outcome.value().degraded()) {
-      counters_->degraded.fetch_add(1);
-    } else {
-      counters_->exact.fetch_add(1);
-    }
-    if (outcome.ok()) {
-      counters_->warm_start_hits.fetch_add(
-          outcome.value().core().stats.warm_start_hits);
-    }
-    if (!outcome.ok()) {
-      counters_->failed.fetch_add(1);
-      if (ran_pipeline) RecordRunSeconds(ticket->admission_key_, run_s);
-    } else {
-      RecordLatencies(ticket->admission_key_, ticket->priority_, queue_s,
-                      outcome.value().stage1_seconds(),
-                      outcome.value().stage2_seconds(), total_s, run_s);
-    }
+  if (outcome.ok()) {
+    RecordLatencies(ticket->admission_key_, ticket->priority_, queue_s,
+                    outcome.value().stage1_seconds(),
+                    outcome.value().stage2_seconds(), total_s, run_s);
+  } else if (ran_pipeline) {
+    RecordRunSeconds(ticket->admission_key_, run_s);
   }
-  if (!ticket->coalesce_key_.empty()) {
-    bool share = ran_pipeline && !interrupted;
-    // Fan out before completing the leader (the shared outcome is moved
-    // into the leader's ticket below); followers copy the Result shell,
-    // not the artifacts — PipelineResult shares its blocks by pointer.
-    if (share) FanOutShared(ticket, outcome);
-    ticket->Complete(std::move(outcome));
-    if (!share) ResolveOrPromoteFollowers(ticket);
-  } else {
-    ticket->Complete(std::move(outcome));
+  if (ticket->coalesce_key_.empty()) {
+    ticket->Finish(std::move(outcome), Source::kOwn, State::kRunning);
+    return;
   }
+  // A run interrupted by its own token shares nothing; everything else —
+  // including deterministic failures, which identical requests would
+  // reproduce identically — fans out to the coalesced followers, before
+  // the leader finishes (the outcome is moved into its ticket below).
+  // Followers copy the Result shell, not the artifacts — PipelineResult
+  // shares its blocks by pointer.
+  bool share = ran_pipeline && !InterruptedByOwnToken(outcome, cancel);
+  if (share) FanOutShared(ticket, outcome);
+  ticket->Finish(std::move(outcome), Source::kOwn, State::kRunning);
+  if (!share) ResolveOrPromoteFollowers(ticket);
 }
 
 void Explain3DService::FanOutShared(const TicketPtr& leader,
@@ -882,18 +860,8 @@ void Explain3DService::FanOutShared(const TicketPtr& leader,
     // Per-ticket independence: a follower whose OWN token fired resolves
     // its own terminal status, never the shared result.
     if (f->done() || f->ExpireIfFired()) continue;
-    f->CompleteIfQueued(outcome, [this, &outcome] {
-      // A whole stage-1 build + solve that never ran. Classified by the
-      // SHARED result, in the same buckets a solo run would use.
-      counters_->coalesced_hits.fetch_add(1);
-      counters_->completed.fetch_add(1);
-      if (outcome.ok() && outcome.value().degraded()) {
-        counters_->degraded.fetch_add(1);
-      } else {
-        counters_->exact.fetch_add(1);
-      }
-      if (!outcome.ok()) counters_->failed.fetch_add(1);
-    });
+    f->Finish(outcome, RequestTicket::Source::kShared,
+              RequestTicket::State::kQueued);
   }
 }
 
@@ -1151,13 +1119,16 @@ Status Explain3DService::RestoreFrom(const std::string& dir) {
   for (auto& [key, inc] : incumbents) {
     cache_.PutIncumbents(key, std::move(inc));
   }
-  restored_entries_.fetch_add(entries);
-  restored_incumbents_.fetch_add(incumbents.size());
+  ledger_->Apply([&](ServiceCounts& c) {
+    c.restored_entries += entries;
+    c.restored_incumbents += incumbents.size();
+  });
   return Status::OK();
 }
 
 ServiceStats Explain3DService::Stats() const {
   ServiceStats s;
+  static_cast<ServiceCounts&>(s) = ledger_->Snapshot();
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Cancelled tickets sit in the bands until a worker pops and
@@ -1180,18 +1151,6 @@ ServiceStats Explain3DService::Stats() const {
     std::lock_guard<std::mutex> lock(registry_mu_);
     s.registered_databases = registry_.size();
   }
-  s.submitted = counters_->submitted.load();
-  s.completed = counters_->completed.load();
-  s.cancelled = counters_->cancelled.load();
-  s.deadline_exceeded = counters_->deadline_exceeded.load();
-  s.rejected = counters_->rejected.load();
-  s.quota_rejected = counters_->quota_rejected.load();
-  s.coalesced_hits = counters_->coalesced_hits.load();
-  s.failed = counters_->failed.load();
-  s.completed_exact = counters_->exact.load();
-  s.completed_degraded = counters_->degraded.load();
-  s.retries = counters_->retries.load();
-  s.auto_degraded = auto_degraded_.load();
   s.fault_fires = FaultInjector::Instance().TotalFires();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -1214,12 +1173,9 @@ ServiceStats Explain3DService::Stats() const {
   s.warm_hits = cache_.hits();
   s.cold_misses = cache_.misses();
   s.cache_evictions = cache_.evictions();
-  s.warm_start_hits = counters_->warm_start_hits.load();
   s.incumbent_entries = cache_.incumbent_entries();
   s.incumbent_hits = cache_.incumbent_hits();
   s.incumbent_misses = cache_.incumbent_misses();
-  s.restored_entries = restored_entries_.load();
-  s.restored_incumbents = restored_incumbents_.load();
   return s;
 }
 

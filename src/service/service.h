@@ -134,9 +134,8 @@ struct ExplanationRequest {
   MappingGenOptions mapping_options;  ///< stage-1 matching knobs
   GoldPairs calibration_gold;         ///< optional calibrator labels
   CalibrationOracle calibration_oracle;  ///< wins over calibration_gold
-  /// Per-request pipeline/solver config. `cache_budget_bytes` is ignored
-  /// here — the stage-1 cache is shared by every client, so its budget
-  /// is ServiceOptions::cache_budget_bytes, fixed at construction.
+  /// Per-request pipeline/solver config. The stage-1 cache is shared by
+  /// every client, so its budget is ServiceOptions::cache_budget_bytes.
   Explain3DConfig config;
   /// End-to-end deadline, in seconds from Submit; 0 = none. Enforced
   /// everywhere along the request's life: admission control may reject a
@@ -175,53 +174,75 @@ struct SubmitOptions {
   std::string client_id;
 };
 
-/// Lifecycle counters shared by the service and its tickets (tickets
-/// outlive the service, so the block is shared_ptr-owned). Atomics: each
-/// event increments exactly one counter at the moment it happens —
-/// BEFORE the ticket's completion fires, so a caller returning from
-/// Wait() always observes its own request already counted. Every
-/// submitted request lands in exactly one terminal bucket:
+/// \brief The service's monotone counters: the base of ServiceStats.
+///
+/// Every submitted request lands in exactly one terminal bucket:
 ///   submitted == completed + cancelled + deadline_exceeded + rejected
 ///                + quota_rejected
 /// once all tickets are terminal, and every completion is classified by
 /// which solver produced it:
-///   completed == exact + degraded
-/// (degraded = OK results marked PipelineResult::degraded(); everything
-/// else, including failed completions, counts as exact — coalesced
-/// followers classify by the shared result). The stress suite asserts
-/// both balances.
-struct ServiceCounters {
-  std::atomic<size_t> submitted{0};
-  std::atomic<size_t> completed{0};
-  std::atomic<size_t> cancelled{0};
-  std::atomic<size_t> deadline_exceeded{0};
-  std::atomic<size_t> rejected{0};  ///< refused at admission (kUnavailable)
+///   completed == completed_exact + completed_degraded.
+/// All terminal buckets are counted by one function, the ticket's
+/// terminal transition (RequestTicket::Finish), BEFORE its waiters wake,
+/// so a caller returning from Wait() always sees its own request
+/// counted. The counters live in one ServiceLedger behind one lock, so
+/// every Stats() snapshot satisfies, at any moment:
+///   completed == completed_exact + completed_degraded,
+///   failed <= completed, coalesced_hits <= completed,
+///   completed + cancelled + deadline_exceeded + rejected
+///     + quota_rejected <= submitted.
+struct ServiceCounts {
+  size_t submitted = 0;
+  size_t completed = 0;  ///< ran to a pipeline result (ok or error)
+  size_t cancelled = 0;  ///< before OR during the run
+  /// The REQUEST's deadline fired, while queued or mid-run. A
+  /// kDeadlineExceeded caused only by the request's own config budget
+  /// (milp_time_limit_seconds) counts as completed + failed instead —
+  /// it is a property of the work, not of scheduling.
+  size_t deadline_exceeded = 0;
+  size_t rejected = 0;  ///< refused at admission, never queued or run
   /// Refused at a per-client quota (kResourceExhausted) — deliberately
   /// NOT part of `rejected`: admission rejects mean the SERVICE is
   /// predictably too slow for the deadline, quota rejects mean one
   /// CLIENT is over its share; operators react to them differently.
-  std::atomic<size_t> quota_rejected{0};
-  /// Tickets resolved from another identical request's shared
-  /// computation (request coalescing). A subset of the terminal buckets
-  /// above (usually completed), never an extra bucket.
-  std::atomic<size_t> coalesced_hits{0};
-  std::atomic<size_t> failed{0};    ///< subset of completed (non-OK result)
-  std::atomic<size_t> exact{0};     ///< completed via the exact solver
-  std::atomic<size_t> degraded{0};  ///< completed OK via the greedy leg
-  std::atomic<size_t> retries{0};   ///< transient-failure re-attempts run
+  size_t quota_rejected = 0;
+  /// Tickets resolved from a coalesced leader's shared computation —
+  /// each hit is a whole stage-1 build + solve that never ran. A subset
+  /// of completed, never an extra bucket.
+  size_t coalesced_hits = 0;
+  size_t failed = 0;  ///< completed with a non-OK pipeline status
+  /// Completion split by solver: OK results marked
+  /// PipelineResult::degraded() count as degraded; everything else,
+  /// failed completions included, as exact. Coalesced followers
+  /// classify by the shared result.
+  size_t completed_exact = 0;
+  size_t completed_degraded = 0;
+  size_t retries = 0;  ///< transient-failure re-attempts run
+  /// Strict requests whose config was auto-switched to the portfolio
+  /// at Submit because the service was kOverloaded (see
+  /// ServiceOptions::auto_fallback_on_overload).
+  size_t auto_degraded = 0;
   /// Solve units seeded from a fingerprint-matched warm-start incumbent
-  /// (summed Explain3DStats::warm_start_hits of OK completions). Not part
-  /// of the request-balance invariants — a single request can contribute
-  /// zero or many.
-  std::atomic<size_t> warm_start_hits{0};
+  /// (summed Explain3DStats::warm_start_hits of the OK results of runs;
+  /// coalesced followers add nothing). Not part of the request balance
+  /// — one request can contribute zero or many.
+  size_t warm_start_hits = 0;
+  // Persistence tier (RestoreFrom; zero until a restore).
+  size_t restored_entries = 0;     ///< artifacts loaded from disk
+  size_t restored_incumbents = 0;  ///< incumbent records loaded from disk
 };
+
+/// The service's books: one ServiceCounts behind one leaf mutex, shared
+/// by the service and its tickets (defined in service.cc).
+class ServiceLedger;
 
 /// \brief Future for one submitted request.
 ///
 /// Terminal states: a pipeline result (ok or its error), kCancelled
 /// (Cancel() before or during the run), kDeadlineExceeded (the deadline
-/// passed while queued or mid-run), or kUnavailable (rejected at
-/// admission). The ticket is created and completed by the service;
+/// passed while queued or mid-run), kUnavailable (rejected at
+/// admission), or kResourceExhausted (over its client's queue quota).
+/// The ticket is created and finished by the service;
 /// callers share it via TicketPtr and may Wait from any number of
 /// threads. Tickets outlive the service (shared_ptr), and a ticket
 /// completed with a PipelineResult keeps that result valid forever — it
@@ -249,18 +270,19 @@ class RequestTicket {
   /// \brief Requests cancellation; returns true when delivered before
   /// the ticket was terminal.
   ///
-  /// A still-QUEUED request completes immediately with kCancelled and
-  /// its work is skipped. A RUNNING request is cancelled cooperatively:
-  /// its CancelToken fires and the pipeline abandons the run at its next
-  /// cancellation point — milliseconds when a stage-2 solve is in
-  /// flight (node-granularity polls), the current build step's bound
-  /// during stage 1. The interrupted ticket normally resolves
-  /// kCancelled, but "delivered" (true) does not pin the terminal
-  /// status: the run may still finish with its real result in the race
-  /// window (counted completed), and if the request's own deadline
-  /// fired first the token's first firing is sticky, so it resolves
-  /// kDeadlineExceeded. Branch on Wait()'s status, not on this return
-  /// value. Returns false once the ticket is terminal.
+  /// The ticket's CancelToken fires first. A still-QUEUED request then
+  /// finishes right here with kCancelled and its work is skipped. A
+  /// RUNNING request is cancelled cooperatively: the pipeline abandons
+  /// the run at its next cancellation point — milliseconds when a
+  /// stage-2 solve is in flight (node-granularity polls), the current
+  /// build step's bound during stage 1. The interrupted ticket normally
+  /// resolves kCancelled, but "delivered" (true) does not pin the
+  /// terminal status: the run (or a coalesced leader's fan-out) may
+  /// still finish with its real result in the race window (counted
+  /// completed), and if the request's own deadline fired first the
+  /// token's first firing is sticky, so it resolves kDeadlineExceeded.
+  /// Branch on Wait()'s status, not on this return value. Returns false
+  /// once the ticket is terminal.
   bool Cancel();
 
   bool done() const { return done_.HasBeenNotified(); }
@@ -270,25 +292,36 @@ class RequestTicket {
 
   enum class State { kQueued, kRunning, kDone };
 
+  /// Where a terminal result comes from; it picks the counter bucket.
+  enum class Source {
+    kOwn,                ///< this ticket's run, cancel, or deadline
+    kShared,             ///< a coalesced leader's result
+    kQuotaRejected,      ///< refused at its client's queue quota
+    kAdmissionRejected,  ///< refused by admission control
+  };
+
   RequestTicket() = default;
 
-  /// Sets the terminal result and releases waiters. Caller must hold no
-  /// lock; at most one completion ever happens (claim logic guarantees).
-  void Complete(Result<PipelineResult> result);
+  /// \brief The one terminal transition. Returns whether this call made
+  /// it.
+  ///
+  /// Moves the ticket to kDone only from `from` — kRunning for its
+  /// worker, kQueued for everything that races the worker's claim
+  /// (Cancel, deadline expiry, a leader's fan-out, Submit's rejections)
+  /// — so exactly one call ever wins. The winner releases the request,
+  /// counts the outcome into its ServiceCounts bucket, and only then
+  /// wakes waiters:
+  ///   kQuotaRejected → quota_rejected; kAdmissionRejected → rejected;
+  ///   kOwn with this ticket's token fired and a kCancelled /
+  ///     kDeadlineExceeded result → cancelled / deadline_exceeded;
+  ///   anything else → completed, plus coalesced_hits when kShared,
+  ///     failed when not OK, completed_degraded or completed_exact, and
+  ///     warm_start_hits for an OK kOwn result.
+  bool Finish(Result<PipelineResult> result, Source source, State from);
 
-  /// Conditional completion for tickets with no single completing owner:
-  /// a follower's leader fan-out, a waiter expiring the deadline, and a
-  /// user Cancel() race each other and a worker's claim, and only a call
-  /// that finds the ticket still kQueued completes it. Runs `on_win` (the
-  /// winner's counter bumps) after the state transition but BEFORE
-  /// waiters release, so a caller woken by Wait() always sees its
-  /// request already counted. Returns whether this call won.
-  bool CompleteIfQueued(Result<PipelineResult> result,
-                        const std::function<void()>& on_win);
-
-  /// Once the deadline has passed, resolves a still-kQueued ticket
-  /// kDeadlineExceeded (counted). Returns whether the token has fired —
-  /// such a ticket never takes a shared or fresh result.
+  /// Once this ticket's token has fired, finishes a still-kQueued
+  /// ticket with the token's status. Returns whether the token has
+  /// fired — such a ticket never takes a shared or fresh result.
   bool ExpireIfFired();
 
   /// Body of Wait/WaitFor: blocks up to `seconds` (+inf = no limit),
@@ -313,7 +346,7 @@ class RequestTicket {
   std::chrono::steady_clock::time_point submit_time_;
   std::optional<Result<PipelineResult>> result_;  ///< set before done_
   Notification done_;
-  std::shared_ptr<ServiceCounters> counters_;  ///< set by Submit
+  std::shared_ptr<ServiceLedger> ledger_;  ///< set by Submit
   /// The request's cooperative cancellation signal: deadline-armed at
   /// Submit, fired by Cancel(), polled by the pipeline down to solver
   /// node granularity. Shared so it outlives both service and ticket.
@@ -356,36 +389,11 @@ struct PriorityBandStats {
   LatencySummary total_seconds;
 };
 
-/// \brief Point-in-time service counters (all monotone except the depth
-/// gauges). Warm/cold traffic is the owned cache's hit/miss counters.
-struct ServiceStats {
-  // Request lifecycle (see ServiceCounters for the balance invariant).
-  size_t submitted = 0;
-  size_t completed = 0;  ///< ran to a pipeline result (ok or error)
-  size_t cancelled = 0;  ///< before OR during the run
-  /// The REQUEST's deadline fired, while queued or mid-run. A
-  /// kDeadlineExceeded caused only by the request's own config budget
-  /// (milp_time_limit_seconds) counts as completed + failed instead —
-  /// it is a property of the work, not of scheduling.
-  size_t deadline_exceeded = 0;
-  size_t rejected = 0;   ///< refused at admission, never queued or run
-  /// Refused at a per-client quota (kResourceExhausted), accounted
-  /// separately from admission rejects (see ServiceCounters).
-  size_t quota_rejected = 0;
-  /// Tickets resolved from a coalesced leader's shared computation —
-  /// each hit is a whole stage-1 build + solve that never ran.
-  size_t coalesced_hits = 0;
-  size_t failed = 0;     ///< completed with a non-OK pipeline status
-  /// Completion split by solver: completed == completed_exact +
-  /// completed_degraded (see ServiceCounters).
-  size_t completed_exact = 0;
-  size_t completed_degraded = 0;  ///< OK results marked degraded()
-  // Resilience.
-  size_t retries = 0;         ///< transient-failure re-attempts run
-  /// Strict requests whose config was auto-switched to the portfolio
-  /// at Submit because the service was kOverloaded (see
-  /// ServiceOptions::auto_fallback_on_overload).
-  size_t auto_degraded = 0;
+/// \brief Point-in-time service stats: the ServiceCounts (one consistent
+/// copy — see its balance identities) plus gauges, cache traffic, and
+/// latency percentiles. Warm/cold traffic is the owned cache's hit/miss
+/// counters.
+struct ServiceStats : ServiceCounts {
   /// Injected-fault fires observed process-wide (FaultInjector counter;
   /// 0 unless a fault spec is armed).
   uint64_t fault_fires = 0;
@@ -418,16 +426,12 @@ struct ServiceStats {
   size_t warm_hits = 0;
   size_t cold_misses = 0;
   size_t cache_evictions = 0;
-  // Stage-2 warm-start incumbent store (ROADMAP 2): solve units seeded
-  // from a recorded optimum, plus the store's own lookup traffic
-  // (MatchingContext passthrough).
-  size_t warm_start_hits = 0;      ///< units seeded (ServiceCounters)
+  // Stage-2 warm-start incumbent store: its lookup traffic
+  // (MatchingContext passthrough; ServiceCounts::warm_start_hits counts
+  // the units it seeded).
   size_t incumbent_entries = 0;    ///< records currently stored
   size_t incumbent_hits = 0;       ///< store lookups that found a record
   size_t incumbent_misses = 0;     ///< store lookups that found none
-  // Persistence tier (RestoreFrom; zero until a restore).
-  size_t restored_entries = 0;     ///< artifacts loaded from disk
-  size_t restored_incumbents = 0;  ///< incumbent records loaded from disk
   // Latency percentiles over the most recent SUCCESSFUL completions.
   LatencySummary queue_seconds;   ///< Submit → worker claim
   LatencySummary stage1_seconds;  ///< pipeline stage 1
@@ -486,16 +490,6 @@ struct ServiceOptions {
   /// interrupt the shared run — acceptable for the anytime contract,
   /// set false where that matters.
   bool enable_coalescing = true;
-  /// Destruction policy for IN-FLIGHT requests. false (default):
-  /// running pipelines drain to completion — their real results arrive,
-  /// but with unbounded solves (milp_time_limit_seconds 0 and no
-  /// request deadline) the destructor can block arbitrarily long. true:
-  /// the destructor fires every running request's CancelToken first, so
-  /// shutdown is bounded by the cooperative cancellation latency
-  /// (milliseconds mid-solve) and interrupted tickets resolve
-  /// kCancelled. Queued-but-unclaimed requests are cancelled either
-  /// way; tickets always outlive the service.
-  bool cancel_running_on_destruction = false;
   /// Reject predictably-doomed requests at Submit — but only ones that
   /// would QUEUE. The backlog ahead of a request is
   ///   ahead = running + queued-at-same-or-higher-priority;
@@ -537,11 +531,10 @@ struct ServiceOptions {
 /// same inputs regardless of queue order, concurrency, cache state, or
 /// any other request being cancelled, rejected, or expiring around it.
 ///
-/// Destruction: queued requests complete with kCancelled; in-flight ones
-/// run to completion by default, or are cooperatively cancelled under
-/// ServiceOptions::cancel_running_on_destruction (either way their
-/// tickets stay valid — callers may still Wait after the service is
-/// gone).
+/// Destruction: queued requests and coalesced followers finish with
+/// kCancelled; in-flight ones run to completion (a caller that wants a
+/// bounded shutdown cancels the tickets it holds first). Tickets stay
+/// valid — callers may still Wait after the service is gone.
 class Explain3DService {
  public:
   explicit Explain3DService(ServiceOptions options = {});
@@ -652,9 +645,9 @@ class Explain3DService {
   /// Pushes an admitted ticket into its band's per-client queue and
   /// bumps the queue accounting. Caller holds mu_.
   void EnqueueLocked(const TicketPtr& ticket);
-  /// Completes every follower of `leader`'s group from the shared
+  /// Finishes every follower of `leader`'s group from the shared
   /// `outcome` (fired followers resolve their own cancel/deadline
-  /// instead) and retires the group. Called by the completing worker.
+  /// instead) and retires the group. Called by the leader's worker.
   void FanOutShared(const TicketPtr& leader,
                     const Result<PipelineResult>& outcome);
   /// Leader terminated with nothing shareable (its own cancel/deadline,
@@ -745,9 +738,6 @@ class Explain3DService {
   uint64_t claims_ = 0;        ///< pops so far (anti-starvation cadence)
   size_t active_runners_ = 0;
   size_t running_requests_ = 0;
-  /// Tickets currently inside Process (claimed, not yet finished) — what
-  /// the destructor cancels under cancel_running_on_destruction.
-  std::vector<TicketPtr> running_tickets_;
   bool shutdown_ = false;
   std::condition_variable idle_cv_;  ///< fires when a runner exits
 
@@ -762,18 +752,14 @@ class Explain3DService {
   std::deque<uint8_t> recent_admissions_;
   std::deque<uint8_t> recent_transients_;
 
-  std::atomic<size_t> auto_degraded_{0};
-
   // Persistence tier. SnapshotTo opens its own store per call; two
   // stores on one directory share temp-file names and would race their
   // commits, so concurrent snapshots serialize on snapshot_mu_.
   std::mutex snapshot_mu_;
-  std::atomic<size_t> restored_entries_{0};
-  std::atomic<size_t> restored_incumbents_{0};
 
-  // Lifecycle counters (shared with tickets; see ServiceCounters).
-  std::shared_ptr<ServiceCounters> counters_ =
-      std::make_shared<ServiceCounters>();
+  /// Every counter of ServiceStats (shared with the tickets, which count
+  /// their own terminal outcomes).
+  std::shared_ptr<ServiceLedger> ledger_;
   /// Latency rings (most recent kLatencyWindow completions).
   mutable std::mutex stats_mu_;
   static constexpr size_t kLatencyWindow = 4096;

@@ -110,6 +110,24 @@ TEST(CancelTokenTest, ParentLinkTightensButNeverWidens) {
   EXPECT_FALSE(CheckCancel(&parent).ok());
 }
 
+TEST(CancelTokenTest, DeadlinesPastTheClockRangeNeverFire) {
+  // Regression: a deadline of 1e10 s or +inf overflowed the conversion
+  // to steady-clock ticks, landed in the past, and fired at the first
+  // poll.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double deadline : {1e10, 1e12, inf}) {
+    SCOPED_TRACE(deadline);
+    CancelToken token(deadline);
+    EXPECT_TRUE(token.Check().ok());
+    EXPECT_EQ(token.RemainingSeconds(), inf);
+    // Also as a parent: the link adds no deadline either.
+    CancelToken child(deadline, &token);
+    EXPECT_TRUE(child.Check().ok());
+    EXPECT_EQ(child.RemainingSeconds(), inf);
+    EXPECT_FALSE(token.fired_event().HasBeenNotified());
+  }
+}
+
 TEST(NotificationTest, TimeoutsPastTheClockRangeStillWait) {
   // Regression: a timeout of 1e10 s or +inf overflowed the conversion
   // to steady-clock ticks and returned "not notified" at once.

@@ -15,6 +15,7 @@
 #include "core/milp_encoder.h"
 #include "core/partitioning.h"
 #include "core/pipeline.h"
+#include "datagen/synthetic.h"
 #include "milp/branch_and_bound.h"
 
 namespace explain3d {
@@ -399,8 +400,7 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
                                 decompose_components, seed,
                                 milp_max_constraints, milp_time_limit_seconds,
                                 milp_max_nodes, exact_max_nodes, warm_start,
-                                portfolio, num_threads, cache_budget_bytes] =
-      defaults;
+                                portfolio, num_threads] = defaults;
 
   struct Row {
     const char* field;
@@ -429,15 +429,13 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
        true},
       {"exact_max_nodes",
        [](Explain3DConfig* c) { c->exact_max_nodes = 100; }, true},
-      // Bit-identity contract: warm starts, the portfolio's floors, thread
-      // counts, and the cache budget never change an answer (a degraded
-      // portfolio answer only replaces a failed call, and records are
-      // taken from fully-optimal runs alone).
+      // Bit-identity contract: warm starts, the portfolio's floors, and
+      // thread counts never change an answer (a degraded portfolio answer
+      // only replaces a failed call, and records are taken from
+      // fully-optimal runs alone).
       {"warm_start", [](Explain3DConfig* c) { c->warm_start = false; }, false},
       {"portfolio", [](Explain3DConfig* c) { c->portfolio = true; }, false},
       {"num_threads", [](Explain3DConfig* c) { c->num_threads = 3; }, false},
-      {"cache_budget_bytes",
-       [](Explain3DConfig* c) { c->cache_budget_bytes = 1 << 20; }, false},
   };
   const std::string base = Stage2ConfigTag(defaults);
   for (const Row& row : rows) {
@@ -502,6 +500,141 @@ TEST(RequestResultKeyTest, ChangesExactlyForResultAffectingMappingOptions) {
     MappingGenOptions mapping;
     row.perturb(&mapping);
     EXPECT_EQ(key(mapping) != base, row.affects_results);
+  }
+}
+
+TEST(RequestResultKeyTest, ChangesWhenAnyOtherRequestInputChanges) {
+  // Every input besides the mapping options and the config, perturbed
+  // one at a time from the same base request.
+  struct Inputs {
+    std::string identity = "c1|c2";
+    std::string sql1 = "SELECT SUM(val) FROM Table";
+    std::string sql2 = "SELECT SUM(val) FROM Table";
+    AttributeMatches attr = {AttributeMatch::Single(
+        "match_attr", "match_attr", SemanticRelation::kEquivalent)};
+    GoldPairs gold = {{0, 1}, {2, 3}};
+  };
+  auto key = [](const Inputs& in) {
+    return RequestResultKey(in.identity, in.sql1, in.sql2, in.attr,
+                            MappingGenOptions{}, in.gold, Explain3DConfig{});
+  };
+  struct Row {
+    const char* input;
+    std::function<void(Inputs*)> perturb;
+  };
+  const Row rows[] = {
+      {"db identity", [](Inputs* in) { in->identity = "c1|c3"; }},
+      {"sql1", [](Inputs* in) { in->sql1 += " WHERE val > 0"; }},
+      {"sql2", [](Inputs* in) { in->sql2 += " WHERE val > 0"; }},
+      {"attribute relation",
+       [](Inputs* in) {
+         in->attr.front().relation = SemanticRelation::kMoreGeneral;
+       }},
+      {"attribute names", [](Inputs* in) { in->attr.front().attrs1 = {"id"}; }},
+      {"gold label changed", [](Inputs* in) { in->gold = {{0, 1}, {2, 4}}; }},
+      {"gold label added", [](Inputs* in) { in->gold.insert({5, 6}); }},
+      {"gold labels dropped", [](Inputs* in) { in->gold.clear(); }},
+  };
+  const std::string base = key(Inputs{});
+  EXPECT_EQ(key(Inputs{}), base);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.input);
+    Inputs in;
+    row.perturb(&in);
+    EXPECT_NE(key(in), base);
+  }
+}
+
+TEST(RequestResultKeyTest, DelimitersInsideQueryTextsDoNotCollide) {
+  // A raw '|' join would render both pairs as "SELECT a|b|c".
+  auto key = [](const std::string& sql1, const std::string& sql2) {
+    return RequestResultKey("c1|c2", sql1, sql2, {}, MappingGenOptions{}, {},
+                            Explain3DConfig{});
+  };
+  EXPECT_NE(key("SELECT a|b", "c"), key("SELECT a", "b|c"));
+  EXPECT_NE(key("SELECT a|", "b"), key("SELECT a", "|b"));
+}
+
+// ---------------------------------------------------------------------------
+// The stage-1 cache key must change exactly when an input of the cached
+// front end (execution, provenance, canonicalization, interning, blocking)
+// changes: a miss otherwise rebuilds for nothing, a hit would serve
+// another request's artifacts.
+// ---------------------------------------------------------------------------
+
+TEST(Stage1CacheKeyTest, MissesExactlyWhenAStage1InputChanges) {
+  SyntheticOptions gen;
+  gen.n = 30;
+  gen.d = 0.25;
+  gen.v = 180;
+  gen.seed = 5;
+  SyntheticDataset data = GenerateSynthetic(gen).value();
+  struct Row {
+    const char* input;
+    std::function<void(PipelineInput*, Explain3DConfig*)> perturb;
+    bool misses;
+  };
+  const Row rows[] = {
+      {"sql1",
+       [](PipelineInput* in, Explain3DConfig*) {
+         in->sql1 += " WHERE val > 0";
+       },
+       true},
+      {"sql2",
+       [](PipelineInput* in, Explain3DConfig*) {
+         in->sql2 += " WHERE val > 0";
+       },
+       true},
+      {"attribute match",
+       [](PipelineInput* in, Explain3DConfig*) {
+         in->attr_matches.front().relation = SemanticRelation::kMoreGeneral;
+       },
+       true},
+      {"use_blocking",
+       [](PipelineInput* in, Explain3DConfig*) {
+         in->mapping_options.use_blocking = false;
+       },
+       true},
+      // Scoring, calibration, and stage 2 run live on every call.
+      {"min_probability",
+       [](PipelineInput* in, Explain3DConfig*) {
+         in->mapping_options.min_probability = 0.1;
+       },
+       false},
+      {"metric",
+       [](PipelineInput* in, Explain3DConfig*) {
+         in->mapping_options.metric = StringMetric::kJaro;
+       },
+       false},
+      {"calibration_gold",
+       [](PipelineInput* in, Explain3DConfig*) {
+         in->calibration_gold = {{0, 0}, {1, 1}};
+       },
+       false},
+      {"num_threads",
+       [](PipelineInput*, Explain3DConfig* c) { c->num_threads = 2; }, false},
+      {"config", [](PipelineInput*, Explain3DConfig* c) { c->alpha = 0.8; },
+       false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.input);
+    MatchingContext context;
+    PipelineInput input;
+    input.db1 = &data.db1;
+    input.db2 = &data.db2;
+    input.sql1 = data.sql1;
+    input.sql2 = data.sql2;
+    input.attr_matches = data.attr_matches;
+    input.mapping_options.min_probability = 1e-4;
+    input.matching_context = &context;
+    Explain3DConfig config;
+    config.num_threads = 1;
+    ASSERT_TRUE(RunExplain3D(input, config).ok());
+    row.perturb(&input, &config);
+    Result<PipelineResult> second = RunExplain3D(input, config);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(context.misses(), row.misses ? 2u : 1u);
+    EXPECT_EQ(context.hits(), row.misses ? 0u : 1u);
   }
 }
 

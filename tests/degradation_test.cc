@@ -14,6 +14,7 @@
 #include <cmath>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "baselines/greedy.h"
 #include "common/cancel.h"
@@ -362,6 +363,17 @@ ExplanationRequest ServiceRequest(const SyntheticDataset& data,
   return req;
 }
 
+// Cancels the held tickets when it leaves scope. Declared after the
+// service, it runs before the service's destructor, which drains running
+// requests: an endless blocker is cancelled even when an assertion ends
+// the test early.
+struct CancelAtExit {
+  std::vector<TicketPtr> tickets;
+  ~CancelAtExit() {
+    for (const TicketPtr& t : tickets) t->Cancel();
+  }
+};
+
 TEST(ServiceResilienceTest, RetryRecoversFromOneTransientFault) {
   if (!kFaultInjectionEnabled) {
     GTEST_SKIP() << "fault probes compiled out";
@@ -475,7 +487,6 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToPortfolio) {
   options.max_concurrency = 1;
   options.admission_control = false;  // flood must QUEUE, not reject
   options.enable_coalescing = false;  // ...and not share one computation
-  options.cancel_running_on_destruction = true;
   Explain3DService service(options);
   DatabaseHandle b1 = service.RegisterDatabase("b1", blocker_data.db1);
   DatabaseHandle b2 = service.RegisterDatabase("b2", blocker_data.db2);
@@ -490,6 +501,7 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToPortfolio) {
   blocker.mapping_options.min_probability = 1e-12;
   blocker.config = HardSolveConfig();
   TicketPtr running = service.Submit(std::move(blocker));
+  CancelAtExit cancel_blocker{{running}};
   for (int i = 0; i < 2000 && service.Stats().running == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -518,8 +530,7 @@ TEST(ServiceResilienceTest, OverloadFlipsStrictRequestsToPortfolio) {
   TicketPtr portfolio = service.Submit(std::move(already));
   EXPECT_EQ(service.Stats().auto_degraded, 1u);
 
-  // Unblock and drain: cancel everything still pending, then let the
-  // destructor (cancel_running_on_destruction) stop the blocker.
+  // Unblock and drain: cancel the blocker, then wait for the rest.
   running->Cancel();
   for (const TicketPtr& t : flood) t->Wait();
   probed->Wait();
@@ -541,7 +552,6 @@ TEST(ServiceResilienceTest, FlippedRequestLeadsNoCoalescingGroup) {
   ServiceOptions options;
   options.max_concurrency = 1;
   options.admission_control = false;  // flood must QUEUE, not reject
-  options.cancel_running_on_destruction = true;
   Explain3DService service(options);
   DatabaseHandle b1 = service.RegisterDatabase("b1", blocker_data.db1);
   DatabaseHandle b2 = service.RegisterDatabase("b2", blocker_data.db2);
@@ -560,6 +570,7 @@ TEST(ServiceResilienceTest, FlippedRequestLeadsNoCoalescingGroup) {
 
   // Occupy the only worker with an unbounded hard solve...
   TicketPtr running = service.Submit(hard_request(blocker_data, b1, b2));
+  CancelAtExit cancel_blocker{{running}};
   for (int i = 0; i < 2000 && service.Stats().running == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -582,6 +593,7 @@ TEST(ServiceResilienceTest, FlippedRequestLeadsNoCoalescingGroup) {
   probe.deadline_seconds = 1.5;
   TicketPtr probed = service.Submit(std::move(probe));
   TicketPtr twin = service.Submit(hard_request(hard_data, h1, h2));
+  cancel_blocker.tickets.push_back(twin);
   EXPECT_EQ(service.Stats().auto_degraded, 1u);
 
   running->Cancel();

@@ -257,20 +257,6 @@ TEST(MatchingContextCacheTest, EraseIfDropsMatchingKeysOnly) {
   EXPECT_EQ(ctx.hits(), hits_before + 1);  // unmatched key survived
 }
 
-TEST(PipelineLifetimeTest, ConfigBudgetForwardsToContext) {
-  SyntheticDataset data = MakeData(56, 60);
-  PipelineInput input = MakeInput(data);
-  MatchingContext context;
-  input.matching_context = &context;
-  Explain3DConfig config;
-  config.cache_budget_bytes = 123456789;
-
-  ASSERT_TRUE(RunExplain3D(input, config).ok());
-  EXPECT_EQ(context.budget_bytes(), 123456789u);
-  EXPECT_GT(context.bytes(), 0u);
-  EXPECT_EQ(context.size(), 1u);
-}
-
 TEST(PipelineLifetimeTest, TwoContextsOverSameDatabasesDoNotAlias) {
   SyntheticDataset data = MakeData(55);
   PipelineInput input = MakeInput(data);

@@ -10,14 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/notification.h"
+#include "common/string_util.h"
 #include "core/pipeline.h"
 #include "datagen/synthetic.h"
 #include "eval/gold.h"
@@ -134,6 +137,17 @@ ExplanationRequest MakeHardSolveRequest(const SyntheticDataset& data,
   req.config.exact_max_nodes = size_t{1} << 60;
   return req;
 }
+
+// Cancels the held tickets when it leaves scope. Declared after the
+// service, it runs before the service's destructor, which drains running
+// requests: an endless solve is cancelled even when an assertion ends
+// the test early.
+struct CancelAtExit {
+  std::vector<TicketPtr> tickets;
+  ~CancelAtExit() {
+    for (const TicketPtr& t : tickets) t->Cancel();
+  }
+};
 
 // --- registry + handles -----------------------------------------------------
 
@@ -355,6 +369,24 @@ TEST(ServiceTicketTest, DeadlineExpiresWhileQueued) {
   EXPECT_EQ(stats.cancelled, 0u);
 }
 
+TEST(ServiceTicketTest, InfiniteDeadlineAnswersOk) {
+  // Regression: deadlines past the steady clock's range (+inf here, and
+  // a 1e10 s stage-2 budget) overflowed into the past and fired at the
+  // first poll, so the request failed without running.
+  Explain3DService service;
+  SyntheticDataset data = MakeData(23, 60);
+  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
+  ExplanationRequest req = MakeRequest(data, h1, h2);
+  req.deadline_seconds = std::numeric_limits<double>::infinity();
+  req.config.milp_time_limit_seconds = 1e10;
+  TicketPtr t = service.Submit(req);
+  const Result<PipelineResult>& r = t->Wait();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectResultsBitIdentical(r.value(), SerialBaseline(data, req));
+  EXPECT_EQ(service.Stats().deadline_exceeded, 0u);
+}
+
 TEST(ServiceTicketTest, QueuedRequestExpiresAtItsDeadlineWhileWorkerIsBusy) {
   // No worker polls a QUEUED request's token, so its waiter does: WaitFor
   // expires the ticket at its deadline instead of waiting for a worker
@@ -435,36 +467,6 @@ TEST(ServiceTicketTest, DestructionCancelsQueuedRequests) {
   // in-flight one ran to completion.
   EXPECT_EQ(queued->Wait().status().code(), StatusCode::kCancelled);
   EXPECT_TRUE(blocked->Wait().ok());
-}
-
-TEST(ServiceTicketTest, DestructionCanCancelRunningRequestsWhenOptedIn) {
-  // Default destruction drains in-flight runs to completion — which,
-  // now that solves can be unbounded, may take arbitrarily long. The
-  // opt-in policy fires running tickets' tokens instead, bounding
-  // shutdown to the cooperative cancellation latency.
-  SyntheticDataset data = MakeData(38);
-  TicketPtr endless;
-  std::chrono::steady_clock::time_point teardown_start;
-  {
-    ServiceOptions options;
-    options.max_concurrency = 1;
-    options.cancel_running_on_destruction = true;
-    Explain3DService service(options);
-    DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
-    DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
-    endless = service.Submit(MakeHardSolveRequest(data, h1, h2));
-    // Make sure the worker is genuinely inside the run before dying.
-    while (service.Stats().running == 0 && endless->TryGet() == nullptr) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    teardown_start = std::chrono::steady_clock::now();
-  }  // ~Explain3DService fires the endless solve's token
-  double shutdown_s = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - teardown_start)
-                          .count();
-  EXPECT_LT(shutdown_s, 30.0);  // vs effectively-infinite drain
-  ASSERT_TRUE(endless->done());
-  EXPECT_EQ(endless->Wait().status().code(), StatusCode::kCancelled);
 }
 
 // --- concurrency + determinism ----------------------------------------------
@@ -1261,18 +1263,19 @@ TEST(ServiceCoalesceTest, CancelledQueuedLeaderPromotesFollower) {
 TEST(ServiceCoalesceTest, CancelledRunningLeaderPromotesFollower) {
   ServiceOptions options;
   options.max_concurrency = 1;
-  options.cancel_running_on_destruction = true;  // unbounded solves below
   Explain3DService service(options);
   SyntheticDataset data = MakeData(56);
   DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
 
   TicketPtr leader = service.Submit(MakeHardSolveRequest(data, h1, h2));
+  CancelAtExit cancel_solves{{leader}};  // unbounded solves below
   while (service.Stats().running == 0 && leader->TryGet() == nullptr) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(leader->TryGet(), nullptr);
   TicketPtr follower = service.Submit(MakeHardSolveRequest(data, h1, h2));
+  cancel_solves.tickets.push_back(follower);
   EXPECT_EQ(service.Stats().queue_depth, 0u);
 
   // A mid-run cancel resolves the leader cooperatively — and must not
@@ -1620,6 +1623,112 @@ TEST(ServiceStatsTest, PrioritiesPastTheBandCapAggregateNotDrop) {
   // Global accounting stays exact throughout.
   EXPECT_EQ(stats.completed, 100u);
   EXPECT_EQ(stats.total_seconds.count, 100u);
+}
+
+TEST(ServiceStatsTest, EverySnapshotBalancesWhileRequestsFinish) {
+  // One thread reads Stats() in a loop while other threads submit,
+  // cancel, and get rejected, and the worker finishes leaders and fans
+  // out to their followers. Every snapshot must balance, not just the
+  // final one: the counters are copied under one lock.
+  ServiceOptions options;
+  options.max_concurrency = 1;
+  options.per_client_max_queued = 2;
+  Explain3DService service(options);
+  SyntheticDataset data = MakeData(68, 40);
+  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
+  // One completion first: admission control prices from its run time.
+  ASSERT_TRUE(service.Submit(MakeRequest(data, h1, h2))->Wait().ok());
+
+  std::atomic<bool> stop{false};
+  size_t snapshots = 0, violations = 0;
+  std::string first_violation;
+  std::thread reader([&] {
+    while (!stop.load()) {
+      ServiceStats s = service.Stats();
+      ++snapshots;
+      const bool balanced =
+          s.completed == s.completed_exact + s.completed_degraded &&
+          s.failed <= s.completed && s.coalesced_hits <= s.completed &&
+          s.completed + s.cancelled + s.deadline_exceeded + s.rejected +
+                  s.quota_rejected <=
+              s.submitted;
+      if (!balanced && violations++ == 0) {
+        first_violation = StrFormat(
+            "submitted %zu completed %zu (exact %zu degraded %zu failed %zu "
+            "coalesced %zu) cancelled %zu deadline %zu rejected %zu quota "
+            "%zu",
+            s.submitted, s.completed, s.completed_exact,
+            s.completed_degraded, s.failed, s.coalesced_hits, s.cancelled,
+            s.deadline_exceeded, s.rejected, s.quota_rejected);
+      }
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<TicketPtr> tickets;
+  std::mutex tickets_mu;
+  auto keep = [&](TicketPtr t) {
+    std::lock_guard<std::mutex> lock(tickets_mu);
+    tickets.push_back(std::move(t));
+  };
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    // Park the only worker so everything below queues, attaches, or is
+    // rejected; releasing it drains the round while the reader runs.
+    Notification entered, release;
+    ExplanationRequest blocker = MakeRequest(data, h1, h2);
+    blocker.calibration_oracle = ParkedOracle(&entered, &release);
+    TicketPtr blocked = service.Submit(blocker, SubmitOptions{0, "blocker"});
+    entered.WaitForNotification();
+    std::vector<std::thread> submitters;
+    // A coalescing leader, its followers, and a cancelled follower.
+    submitters.emplace_back([&] {
+      for (int i = 0; i < 6; ++i) {
+        TicketPtr t = service.Submit(MakeCoalescibleRequest(data, h1, h2),
+                                     SubmitOptions{0, "team"});
+        if (i == 5) t->Cancel();
+        keep(std::move(t));
+      }
+    });
+    // A flooding client past its queue quota, cancelling one it queued.
+    submitters.emplace_back([&] {
+      for (int i = 0; i < 4; ++i) {
+        TicketPtr t = service.Submit(MakeRequest(data, h1, h2),
+                                     SubmitOptions{0, "flood"});
+        if (i == 0) t->Cancel();
+        keep(std::move(t));
+      }
+    });
+    // Deadlines no backlog can meet: refused at admission.
+    submitters.emplace_back([&] {
+      for (int i = 0; i < 3; ++i) {
+        ExplanationRequest doomed = MakeRequest(data, h1, h2);
+        doomed.deadline_seconds = 1e-6;
+        keep(service.Submit(std::move(doomed), SubmitOptions{0, "late"}));
+      }
+    });
+    for (std::thread& t : submitters) t.join();
+    release.Notify();
+    EXPECT_TRUE(blocked->Wait().ok());
+    for (const TicketPtr& t : tickets) t->Wait();
+  }
+  stop.store(true);
+  reader.join();
+
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(violations, 0u) << "first unbalanced snapshot: "
+                            << first_violation;
+  ServiceStats s = service.Stats();
+  EXPECT_EQ(s.submitted, s.completed + s.cancelled + s.deadline_exceeded +
+                             s.rejected + s.quota_rejected);
+  // The warm-up, one blocker per round, and the tickets kept above.
+  EXPECT_EQ(s.submitted, 1 + kRounds + tickets.size());
+  // Every kind of terminal transition happened.
+  EXPECT_EQ(s.coalesced_hits, static_cast<size_t>(kRounds) * 4);
+  EXPECT_EQ(s.cancelled, static_cast<size_t>(kRounds) * 2);
+  EXPECT_EQ(s.rejected, static_cast<size_t>(kRounds) * 3);
+  EXPECT_EQ(s.quota_rejected, static_cast<size_t>(kRounds) * 2);
 }
 
 }  // namespace
