@@ -24,7 +24,7 @@
 #include "partition/partitioner.h"
 #include "provenance/canonical.h"
 #include "storage/io.h"
-#include "storage/snapshot.h"
+#include "storage/snapshot_file.h"
 
 namespace explain3d {
 namespace {
@@ -629,53 +629,50 @@ std::pair<std::string, ArtifactsPtr> SnapshotFixture(size_t n) {
   return context.Entries().front();
 }
 
-// Full snapshot write: encode (checksummed segment layout) + atomic
-// write + fsync. This is the per-block cost of a SnapshotTo.
+// Full snapshot write of a one-entry cache: encode (checksummed segment
+// layout) + streamed atomic write + fsync + rename. This is the
+// per-block cost of a SnapshotTo.
 void BM_SnapshotSave(benchmark::State& state) {
   auto [key, art] = SnapshotFixture(static_cast<size_t>(state.range(0)));
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "bench-snapshot.e3ds")
-          .string();
-  size_t bytes = 0;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "bench-snapshot").string();
   for (auto _ : state) {
-    std::vector<uint8_t> enc = storage::EncodeArtifacts(key, *art);
-    bytes = enc.size();
     benchmark::DoNotOptimize(
-        storage::WriteFileAtomic(path, enc.data(), enc.size()).ok());
+        storage::WriteSnapshotFile(dir, {{key, art}}, {}).ok());
   }
+  const auto bytes = std::filesystem::file_size(
+      storage::JoinPath(dir, storage::kSnapshotFileName));
   state.counters["file_bytes"] = static_cast<double>(bytes);
   state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_SnapshotSave)
     ->Arg(500)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-// Warm-restart load: mmap + checksum verification + zero-copy wrap of
-// the columnar arrays into an ArtifactsPtr. The CSR columns are
-// borrowed from the mapping, so this cost stays flat in the column
-// payload — compare against BM_SnapshotSave, which streams every byte.
+// Warm-restart load of a one-entry snapshot file: mmap + checksum
+// verification + zero-copy wrap of the columnar arrays into an
+// ArtifactsPtr. The CSR columns are borrowed from the mapping, so this
+// cost stays flat in the column payload — compare against
+// BM_SnapshotSave, which streams every byte.
 void BM_SnapshotMmapLoad(benchmark::State& state) {
   auto [key, art] = SnapshotFixture(static_cast<size_t>(state.range(0)));
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "bench-snapshot-load.e3ds")
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "bench-snapshot-load")
           .string();
-  std::vector<uint8_t> enc = storage::EncodeArtifacts(key, *art);
-  if (!storage::WriteFileAtomic(path, enc.data(), enc.size()).ok()) {
+  if (!storage::WriteSnapshotFile(dir, {{key, art}}, {}).ok()) {
     state.SkipWithError("snapshot write failed");
     return;
   }
   for (auto _ : state) {
-    Result<storage::MmapFile> file = storage::MmapFile::Open(path);
-    Result<storage::DecodedArtifacts> decoded = storage::DecodeArtifacts(
-        std::make_shared<storage::MmapFile>(std::move(file).value()));
-    benchmark::DoNotOptimize(decoded.ok());
+    benchmark::DoNotOptimize(storage::ReadSnapshotFile(dir).ok());
   }
-  state.counters["file_bytes"] = static_cast<double>(enc.size());
-  state.SetBytesProcessed(static_cast<int64_t>(enc.size()) *
-                          state.iterations());
-  std::filesystem::remove(path);
+  const auto bytes = std::filesystem::file_size(
+      storage::JoinPath(dir, storage::kSnapshotFileName));
+  state.counters["file_bytes"] = static_cast<double>(bytes);
+  state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
+  std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_SnapshotMmapLoad)
     ->Arg(500)

@@ -1,5 +1,5 @@
 // The persistence tier: crash-consistent snapshots and warm service
-// restarts (storage/artifact_store.h wired into Explain3DService).
+// restarts (storage/snapshot_file.h wired into Explain3DService).
 //
 // A serving process accumulates expensive state — stage-1 artifact
 // blocks and stage-2 warm-start incumbents. Without persistence, a
@@ -7,7 +7,9 @@
 // pays the full cold build again. This example runs the full
 // restart-survival loop:
 //
-//   1. service A serves a request cold, then SnapshotTo(dir);
+//   1. service A serves a request cold, then SnapshotTo(dir) writes its
+//      cache as one file, dir/snapshot.e3d (streamed to a temp file,
+//      fsynced, and renamed into place);
 //   2. A is destroyed — the disk image is all that remains;
 //   3. a FRESH service B RestoreFrom(dir)s, re-registers the same
 //      data, and answers the repeated request from the restored cache:
@@ -15,7 +17,7 @@
 //      artifact block served straight off the mmapped file (zero-copy).
 //
 // The snapshot directory stays behind for the explain3d_store CLI
-// (inspect / verify / gc).
+// (inspect / verify).
 //
 // This file is the compiled twin of the docs/API.md "Persistence"
 // section — CI builds and runs it, so the documented snippet cannot rot.

@@ -5,11 +5,10 @@
 // in-flight work:
 //
 //   * a manual cancel (RequestTicket::Cancel on a running request),
-//   * a deadline clock (the request's end-to-end deadline, or the
-//     routed Explain3DConfig::milp_time_limit_seconds stage-2 budget),
+//   * a deadline clock (the request's end-to-end deadline),
 //   * an optional PARENT token, so a scope can tighten its parent's
-//     budget without widening it (the solver links its time-limit token
-//     under the service's per-request token),
+//     budget without widening it (the portfolio's exact leg links its
+//     slightly shorter deadline under the caller's token),
 //
 // and exposes them as one cheap poll: Check() returns OK while live and
 // a sticky kCancelled / kDeadlineExceeded Status once fired. Workers

@@ -45,17 +45,6 @@ struct Explain3DConfig {
   /// components fall back to the structure-exploiting exact branch &
   /// bound (see DESIGN.md substitutions — both are exact).
   size_t milp_max_constraints = 250;
-  /// Wall-clock budget of the WHOLE stage-2 solve, enforced through a
-  /// deadline CancelToken (common/cancel.h) linked under the caller's
-  /// request token. 0 (the default) = unlimited. When the budget fires,
-  /// Solve fails with kDeadlineExceeded instead of returning a
-  /// time-truncated incumbent — results are therefore bit-identical
-  /// however slowly the machine runs (the old per-component wall-clock
-  /// fallback path, which silently switched solvers under load, is
-  /// gone); only `portfolio` turns a blown budget into a marked answer.
-  /// Prefer per-request deadlines (ExplanationRequest::
-  /// deadline_seconds) on the serving path.
-  double milp_time_limit_seconds = 0;
   size_t milp_max_nodes = 50000;
   /// Node limit of the specialized component solver.
   size_t exact_max_nodes = 4000000;
@@ -72,14 +61,15 @@ struct Explain3DConfig {
   /// Portfolio mode, the one anytime mode: run the greedy baseline
   /// (Section 5.1.3) FIRST (milliseconds), use its per-unit objectives
   /// as live incumbent floors for the exact solve, and — when the
-  /// stage-2 budget (a request deadline or milp_time_limit_seconds)
-  /// interrupts the exact attempt — return the greedy answer marked
-  /// PipelineResult::degraded() (DegradationInfo::Solver::
-  /// kGreedyPortfolio) with the interrupted search's admissible
-  /// incumbent_bound. Only a fired budget degrades: a user cancel still
-  /// fails the call, and unbounded calls run the exact solve to
-  /// completion. Exact solves that finish in budget return bit-identical
-  /// results to a strict (false) run, which fails a blown budget.
+  /// stage-2 budget (the deadline of the caller's CancelToken, e.g. a
+  /// service request deadline) interrupts the exact attempt — return
+  /// the greedy answer marked PipelineResult::degraded()
+  /// (DegradationInfo::Solver::kGreedyPortfolio) with the interrupted
+  /// search's admissible incumbent_bound. Only a fired budget degrades:
+  /// a user cancel still fails the call, and unbounded calls run the
+  /// exact solve to completion. Exact solves that finish in budget
+  /// return bit-identical results to a strict (false) run, which fails a
+  /// blown budget.
   bool portfolio = false;
 
   // --- parallelism ---

@@ -241,14 +241,11 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
     core_input.incumbents_out = &collected;
   }
 
-  // The stage-2 budget: the tighter of the caller's token deadline chain
-  // and the config time limit. Finite only when one of them is set.
+  // The stage-2 budget: what remains of the caller's token deadline
+  // chain; infinite without one.
   double budget = std::numeric_limits<double>::infinity();
   if (input.cancel != nullptr) {
     budget = input.cancel->RemainingSeconds();
-  }
-  if (config.milp_time_limit_seconds > 0) {
-    budget = std::min(budget, config.milp_time_limit_seconds);
   }
 
   if (config.portfolio) {
@@ -275,8 +272,6 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
         "stage-2 budget consumed before the exact solve started");
     double incumbent_bound = std::numeric_limits<double>::quiet_NaN();
     double reserved = std::isfinite(budget) ? budget * 0.02 : 0;
-    Explain3DConfig exact_config = config;
-    exact_config.milp_time_limit_seconds = 0;
     Explain3DInput exact_input = core_input;
     exact_input.greedy_selection = &selection;
     exact_input.incumbent_bound_out = &incumbent_bound;
@@ -287,10 +282,10 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
       if (exact_budget > 0) {
         exact_token.emplace(exact_budget, input.cancel);
         exact_input.cancel = &*exact_token;
-        exact = Explain3DSolver(exact_config).Solve(exact_input);
+        exact = Explain3DSolver(config).Solve(exact_input);
       }
     } else {
-      exact = Explain3DSolver(exact_config).Solve(exact_input);
+      exact = Explain3DSolver(config).Solve(exact_input);
     }
     double exact_seconds = exact_timer.Seconds();
 
@@ -390,12 +385,12 @@ std::string RequestResultKey(const std::string& db_identity,
       static_cast<unsigned long long>(storage::Checksum64(
           packed.data(), packed.size() * sizeof(uint64_t))));
   key += Stage2ConfigTag(config);
-  // Budget knobs (excluded from the incumbent tag because incumbents
-  // only record fully-optimal runs) DO shape what a budgeted run
-  // returns — and so does the portfolio switch. Coalescing errs
-  // conservative: a knob that could matter splits keys.
-  key += StrFormat("|tl%.17g|ws%d|pf%d", config.milp_time_limit_seconds,
-                   config.warm_start ? 1 : 0, config.portfolio ? 1 : 0);
+  // The warm-start and portfolio switches are excluded from the
+  // incumbent tag (incumbents only record fully-optimal runs), but the
+  // portfolio switch DOES shape what a budgeted run returns. Coalescing
+  // errs conservative: a knob that could matter splits keys.
+  key += StrFormat("|ws%d|pf%d", config.warm_start ? 1 : 0,
+                   config.portfolio ? 1 : 0);
   return key;
 }
 

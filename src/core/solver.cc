@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -297,11 +296,10 @@ UnitOutcome SolveUnit(const SubProblem& unit, const CanonicalRelation& t1,
     // on the floor — a bad floor costs time, never determinism.
     for (bool floored : {std::isfinite(floor_obj), false}) {
       milp::MilpOptions mopts;
-      // The wall-clock budget is the cancel token's job now (Solve links
-      // config.milp_time_limit_seconds into it): a blown budget FAILS the
-      // call instead of truncating the search, so results never depend on
-      // machine speed. The node limit stays — it fires at the same node
-      // count everywhere, so its fallback is deterministic.
+      // The wall-clock budget is the cancel token's job: a fired token
+      // FAILS the call instead of truncating the search, so results never
+      // depend on machine speed. The node limit stays — it fires at the
+      // same node count everywhere, so its fallback is deterministic.
       mopts.time_limit_seconds = milp::kInfinity;
       mopts.max_nodes = config.milp_max_nodes;
       mopts.cancel = cancel;
@@ -437,19 +435,11 @@ Result<Explain3DResult> Explain3DSolver::Solve(
     }
   }
 
-  // Cancellation scope of this solve: the caller's token, optionally
-  // tightened by the config's stage-2 wall-clock budget. Routing the
-  // budget through a deadline token (instead of the old per-component
-  // time_limit_seconds cutoff) means a blown budget FAILS the call with
-  // kDeadlineExceeded — it can never switch a component to a different
-  // solver mid-run, so surviving results stay bit-identical under any
-  // slowdown (TSan, load, cold caches).
+  // Cancellation scope of this solve: the caller's token. A fired token
+  // FAILS the call with its status — it can never switch a component to
+  // a different solver mid-run, so surviving results stay bit-identical
+  // under any slowdown (TSan, load, cold caches).
   const CancelToken* cancel = input.cancel;
-  std::optional<CancelToken> budget_token;
-  if (config_.milp_time_limit_seconds > 0) {
-    budget_token.emplace(config_.milp_time_limit_seconds, input.cancel);
-    cancel = &*budget_token;
-  }
 
   // Solve every representative independently — concurrently when
   // configured — into an outcome slot per unit, then merge in unit order.

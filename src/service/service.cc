@@ -8,8 +8,8 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "storage/artifact_store.h"
 #include "storage/content_hash.h"
+#include "storage/snapshot_file.h"
 
 namespace explain3d {
 
@@ -38,9 +38,8 @@ bool KeyUsesIdentity(const std::string& key, const std::string& tag) {
 /// Whether `result` is the firing of the ticket's own `token` — a
 /// cancel or its request deadline — rather than an answer. The test is
 /// "did THIS ticket's token fire", not the status code alone: a
-/// kDeadlineExceeded produced by the request's config
-/// (milp_time_limit_seconds, a child token) with no request deadline is
-/// an ordinary failed completion, not scheduler deadline pressure.
+/// kCancelled or kDeadlineExceeded the run produced with the token
+/// still live is an ordinary failed completion.
 bool InterruptedByOwnToken(const Result<PipelineResult>& result,
                            const CancelToken* token) {
   if (result.ok()) return false;
@@ -1082,46 +1081,45 @@ double Explain3DService::EstimateRunSeconds(const std::string& admission_key) {
 // --- persistence tier -------------------------------------------------------
 
 Status Explain3DService::SnapshotTo(const std::string& dir) {
-  // Entries are immutable shared blocks, so snapshotting never pauses
-  // serving: Entries() copies the key/pointer pairs under the cache lock
-  // and the (slow) encoding walks them lock-free.
+  // Concurrent calls share the file's temp name, so they take turns, and
+  // each one reads the cache inside its turn: the image that lands last
+  // is the newest. Entries are immutable shared blocks, so snapshotting
+  // never pauses serving: the cache copies its key/pointer pairs under
+  // its lock and the (slow) encoding walks them lock-free.
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
   std::vector<std::pair<std::string, ArtifactsPtr>> entries =
       cache_.Entries();
   std::vector<std::pair<std::string, IncumbentsPtr>> incumbents =
       cache_.IncumbentEntries();
-  // Open inside the lock: a store opened before another call's commit
-  // would commit a manifest that drops that call's files.
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  E3D_ASSIGN_OR_RETURN(storage::ArtifactStore store,
-                       storage::ArtifactStore::Open(dir));
-  for (const auto& [key, art] : entries) {
-    E3D_RETURN_IF_ERROR(store.PutArtifacts(key, *art));
+  // The cache lists most recently used first; the file stores the
+  // reverse, the order RestoreFrom inserts in.
+  std::reverse(entries.begin(), entries.end());
+  std::vector<std::pair<std::string, SolverIncumbents>> records;
+  records.reserve(incumbents.size());
+  for (auto it = incumbents.rbegin(); it != incumbents.rend(); ++it) {
+    records.emplace_back(it->first, *it->second);
   }
-  for (const auto& [key, inc] : incumbents) {
-    store.PutIncumbents(key, *inc);
-  }
-  return store.Commit();
+  return storage::WriteSnapshotFile(dir, entries, records);
 }
 
 Status Explain3DService::RestoreFrom(const std::string& dir) {
-  E3D_ASSIGN_OR_RETURN(storage::ArtifactStore store,
-                       storage::ArtifactStore::Open(dir));
-  // Decode and verify everything before the first insert: a damaged
-  // store fails whole and leaves the cache untouched.
-  E3D_ASSIGN_OR_RETURN(std::vector<storage::DecodedArtifacts> decoded,
-                       store.LoadAllArtifacts());
-  E3D_ASSIGN_OR_RETURN(auto incumbents, store.LoadIncumbents());
+  // The whole file is verified and decoded before the first insert: a
+  // damaged snapshot fails whole and leaves the cache untouched.
+  E3D_ASSIGN_OR_RETURN(storage::SnapshotContents image,
+                       storage::ReadSnapshotFile(dir));
+  // Least recently used first, so the cache ends in the snapshot's LRU
+  // order and a budget too small for the image keeps its newest entries.
   size_t entries = 0;
-  for (storage::DecodedArtifacts& d : decoded) {
+  for (storage::DecodedArtifacts& d : image.entries) {
     // A live entry wins over the disk image (it is at least as fresh).
     if (cache_.Put(d.key, std::move(d.artifacts))) ++entries;
   }
-  for (auto& [key, inc] : incumbents) {
+  for (auto& [key, inc] : image.incumbents) {
     cache_.PutIncumbents(key, std::move(inc));
   }
   ledger_->Apply([&](ServiceCounts& c) {
     c.restored_entries += entries;
-    c.restored_incumbents += incumbents.size();
+    c.restored_incumbents += image.incumbents.size();
   });
   return Status::OK();
 }

@@ -27,12 +27,12 @@
 //     config; see RequestResultKey) share one computation, and every
 //     ticket resolves from the shared PipelineResult zero-copy
 //     (ServiceOptions::enable_coalescing);
-//   * the persistence tier (storage/artifact_store.h) — SnapshotTo
-//     writes the cached artifacts and incumbents into a crash-consistent
-//     on-disk store and RestoreFrom loads them, so a service RESTART
-//     keeps the warm cache: the first repeated request after a restart
-//     is a warm hit with warm-started solves, bit-identical to the
-//     pre-restart answer.
+//   * the persistence tier (storage/snapshot_file.h) — SnapshotTo
+//     writes the cached artifacts and incumbents into one atomically
+//     replaced snapshot file and RestoreFrom loads it, so a service
+//     RESTART keeps the warm cache: the first repeated request after a
+//     restart is a warm hit with warm-started solves, bit-identical to
+//     the pre-restart answer.
 //
 // The service starts no thread of its own: requests run on the
 // SharedPool, and everything else happens on the callers' threads.
@@ -195,10 +195,7 @@ struct ServiceCounts {
   size_t submitted = 0;
   size_t completed = 0;  ///< ran to a pipeline result (ok or error)
   size_t cancelled = 0;  ///< before OR during the run
-  /// The REQUEST's deadline fired, while queued or mid-run. A
-  /// kDeadlineExceeded caused only by the request's own config budget
-  /// (milp_time_limit_seconds) counts as completed + failed instead —
-  /// it is a property of the work, not of scheduling.
+  /// The REQUEST's deadline fired, while queued or mid-run.
   size_t deadline_exceeded = 0;
   size_t rejected = 0;  ///< refused at admission, never queued or run
   /// Refused at a per-client quota (kResourceExhausted) — deliberately
@@ -578,28 +575,31 @@ class Explain3DService {
   /// Snapshot of the counters, gauges, and latency percentiles.
   ServiceStats Stats() const;
 
-  /// \brief Writes EVERY current cache entry (stage-1 artifacts and
-  /// complete incumbent records) to an ArtifactStore at `dir` and commits
-  /// — one crash-consistent on-disk image of the warm state.
+  /// \brief Writes the cache as it is at the call — every stage-1
+  /// artifact block and complete incumbent record, in LRU order — to
+  /// `dir`'s one snapshot file (storage/snapshot_file.h), atomically
+  /// replacing any earlier snapshot there.
   ///
-  /// Any directory works; an existing store is updated in place. Entries
-  /// are keyed by content identity, so a different process restoring the
-  /// snapshot serves the same registered data bit-identically. Concurrent
+  /// Any directory works (created if missing). Entries are keyed by
+  /// content identity, so a different process restoring the snapshot
+  /// serves the same registered data bit-identically. Concurrent
   /// requests keep running — entries are immutable, so the image is
   /// consistent without pausing anything. Concurrent SnapshotTo calls
-  /// take turns: two stores on one directory would race their commits.
+  /// take turns, since they share the file's temp name.
   Status SnapshotTo(const std::string& dir);
 
-  /// \brief Loads every committed snapshot from the store at `dir` into
-  /// the cache (mmap-backed, zero-copy for the columnar arrays).
+  /// \brief Loads `dir`'s snapshot file into the cache (mmap-backed,
+  /// zero-copy for the columnar arrays), least recently used first, so
+  /// the cache takes the snapshot's LRU order.
   ///
   /// Keys already present in the cache are kept (the live entry wins).
-  /// Everything is decoded and verified before the first insert, so a
-  /// store with any damaged file fails with kCorruption and loads
-  /// nothing. Databases must be re-registered separately (the store
-  /// persists derived artifacts, not the raw relations); a re-registered
-  /// database with identical contents maps to the same content identity
-  /// and warms straight off the restored entries.
+  /// The whole file is verified and decoded before the first insert, so
+  /// a damaged snapshot fails with kCorruption and loads nothing; a
+  /// directory without one loads nothing and returns OK. Databases must
+  /// be re-registered separately (the snapshot holds derived artifacts,
+  /// not the raw relations); a re-registered database with identical
+  /// contents maps to the same content identity and warms straight off
+  /// the restored entries.
   Status RestoreFrom(const std::string& dir);
 
   /// The owned stage-1 cache (diagnostics/tests: entry count, bytes,
@@ -752,9 +752,8 @@ class Explain3DService {
   std::deque<uint8_t> recent_admissions_;
   std::deque<uint8_t> recent_transients_;
 
-  // Persistence tier. SnapshotTo opens its own store per call; two
-  // stores on one directory share temp-file names and would race their
-  // commits, so concurrent snapshots serialize on snapshot_mu_.
+  // Persistence tier. Concurrent SnapshotTo calls would write one temp
+  // file at once, so they serialize on snapshot_mu_.
   std::mutex snapshot_mu_;
 
   /// Every counter of ServiceStats (shared with the tickets, which count

@@ -5,9 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -106,20 +104,30 @@ Result<MmapFile> MmapFile::Open(const std::string& path) {
   return f;
 }
 
-Status WriteFileAtomic(const std::string& path, const void* data, size_t len) {
+Status WriteFileAtomic(const std::string& path,
+                       const std::function<Status(const ByteSink&)>& fill) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoStatus("open", tmp);
 
-  // Crash window 1: the payload write tears. The probe leaves a
-  // half-length prefix behind — a torn tmp that must never become `path`.
-  if (FAULT_FIRED("storage.write")) {
-    Status ignored = WriteAll(fd, tmp, data, len / 2);
-    (void)ignored;
-    ::close(fd);
-    return Status::IOError("injected torn write for '" + tmp + "'");
-  }
-  Status st = WriteAll(fd, tmp, data, len);
+  // Crash window 1: the payload write tears. The probe lets half of the
+  // stream's first write land — a torn tmp that must never become `path`.
+  // A failed write sticks, so the file is not published even if `fill`
+  // ignores the error.
+  const bool tear = FAULT_FIRED("storage.write");
+  Status written;
+  Status st = fill([&](const void* data, size_t len) {
+    if (!written.ok()) return written;
+    if (tear) {
+      Status ignored = WriteAll(fd, tmp, data, len / 2);
+      (void)ignored;
+      written = Status::IOError("injected torn write for '" + tmp + "'");
+    } else {
+      written = WriteAll(fd, tmp, data, len);
+    }
+    return written;
+  });
+  if (st.ok()) st = written;
   if (!st.ok()) {
     ::close(fd);
     return st;
@@ -144,65 +152,12 @@ Status WriteFileAtomic(const std::string& path, const void* data, size_t len) {
   return FsyncDirectoryOf(path);
 }
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return ErrnoStatus("open", path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    Status s = ErrnoStatus("fstat", path);
-    ::close(fd);
-    return s;
-  }
-  std::vector<uint8_t> buf(static_cast<size_t>(st.st_size));
-  size_t off = 0;
-  while (off < buf.size()) {
-    ssize_t n = ::read(fd, buf.data() + off, buf.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status s = ErrnoStatus("read", path);
-      ::close(fd);
-      return s;
-    }
-    if (n == 0) break;  // shrank underneath us; return what we have
-    off += static_cast<size_t>(n);
-  }
-  buf.resize(off);
-  ::close(fd);
-  return buf;
-}
-
 Status EnsureDirectory(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     return Status::IOError("create_directories failed for '" + dir +
                            "': " + ec.message());
-  }
-  return Status::OK();
-}
-
-Result<std::vector<std::string>> ListDirectoryFiles(const std::string& dir) {
-  std::vector<std::string> names;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::IOError("cannot list '" + dir + "': " + ec.message());
-  }
-  for (const auto& entry : it) {
-    if (entry.is_regular_file(ec) && !ec) {
-      names.push_back(entry.path().filename().string());
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Status RemoveFileIfExists(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-  if (ec) {
-    return Status::IOError("remove failed for '" + path + "': " +
-                           ec.message());
   }
   return Status::OK();
 }

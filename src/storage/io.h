@@ -2,22 +2,25 @@
 // and read-only memory mappings.
 //
 // Crash-consistency protocol (write side):
-//   1. write the full payload to `<path>.tmp`
+//   1. stream the full payload into `<path>.tmp`
 //   2. fsync the tmp file (payload durable, name not yet visible)
 //   3. rename(tmp, path)  -- atomic on POSIX: readers see old or new, never
 //      a partial file
 //   4. fsync the containing directory (the rename itself durable)
 // A crash between any two steps leaves either the old file intact or a
-// stray `.tmp` that open/GC ignores; it never leaves a torn `path`.
+// stray `.tmp` that readers never open (the next write truncates it); it
+// never leaves a torn `path`. A reader that mapped the old file keeps its
+// pages: the rename unlinks the name, not the mapped inode.
 //
 // Fault probes (common/fault.h) let tests simulate each crash window
 // deterministically:
-//   storage.write  -- the payload write tears: a half-length prefix lands
-//                     in the tmp file and the call fails kIOError
+//   storage.write  -- the payload write tears: half of the stream's first
+//                     write lands in the tmp file and the call fails
+//                     kIOError
 //   storage.fsync  -- fsync fails after a complete write (data may not be
 //                     durable); the rename is NOT performed
 //   storage.rename -- the rename step fails; tmp is left behind
-// All three model "the process died mid-commit": the destination path is
+// All three model "the process died mid-write": the destination path is
 // never replaced, which is exactly the invariant the crash-consistency
 // sweep asserts.
 
@@ -26,8 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -61,21 +64,19 @@ class MmapFile {
   size_t size_ = 0;
 };
 
-/// Writes `len` bytes to `path` via the tmp-fsync-rename protocol above.
-/// On any failure the previous contents of `path` (if any) are intact.
-Status WriteFileAtomic(const std::string& path, const void* data, size_t len);
+/// Appends `len` bytes to the file being written by WriteFileAtomic.
+using ByteSink = std::function<Status(const void* data, size_t len)>;
 
-/// Reads a whole file into memory (for small files: manifest, incumbents).
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
+/// Writes a file to `path` via the tmp-fsync-rename protocol above.
+/// `fill` streams the payload through the sink it is handed, in as many
+/// pieces as it likes, so the caller never holds the whole file in
+/// memory; a `fill` that fails aborts the write before the rename. On
+/// any failure the previous contents of `path` (if any) are intact.
+Status WriteFileAtomic(const std::string& path,
+                       const std::function<Status(const ByteSink&)>& fill);
 
 /// Creates `dir` (and parents). OK when it already exists as a directory.
 Status EnsureDirectory(const std::string& dir);
-
-/// Names (not paths) of regular files directly inside `dir`, sorted.
-Result<std::vector<std::string>> ListDirectoryFiles(const std::string& dir);
-
-/// Deletes `path` if it exists; missing files are OK (idempotent GC).
-Status RemoveFileIfExists(const std::string& path);
 
 /// True when a regular file exists at `path`.
 bool FileExists(const std::string& path);

@@ -262,7 +262,7 @@ Status Corrupt(const char* what) {
 
 Status ParseHeader(const uint8_t* data, size_t size,
                    std::vector<SegEntry>* out) {
-  if (size < HeaderBytes(0)) return Corrupt("file shorter than header");
+  if (size < HeaderBytes(0)) return Corrupt("blob shorter than header");
   if (std::memcmp(data, kMagic, 8) != 0) return Corrupt("bad magic");
   uint32_t version = 0, count = 0;
   std::memcpy(&version, data + 8, 4);
@@ -284,7 +284,7 @@ Status ParseHeader(const uint8_t* data, size_t size,
     std::memcpy(&e.checksum, p + 24, 8);
     if (e.offset % kAlign != 0) return Corrupt("misaligned segment offset");
     if (e.offset > size || e.length > size - e.offset) {
-      return Corrupt("segment extends past end of file");
+      return Corrupt("segment extends past end of blob");
     }
   }
   return Status::OK();
@@ -428,6 +428,7 @@ std::vector<uint8_t> EncodeArtifacts(const std::string& key,
     AppendColumns(&buf, &table, kI1Base, art.i1->columns());
     AppendColumns(&buf, &table, kI2Base, art.i2->columns());
   }
+  buf.resize(AlignUp(buf.size()), 0);
 
   // Backfill the header now that offsets and checksums are known.
   std::memcpy(buf.data(), kMagic, 8);
@@ -447,25 +448,8 @@ std::vector<uint8_t> EncodeArtifacts(const std::string& key,
   return buf;
 }
 
-Status VerifySnapshotBytes(const uint8_t* data, size_t size) {
-  std::vector<SegEntry> table;
-  E3D_RETURN_IF_ERROR(ParseHeader(data, size, &table));
-  return VerifySegments(data, table);
-}
-
-Result<std::vector<std::pair<uint32_t, uint64_t>>> ListSegments(
-    const uint8_t* data, size_t size) {
-  std::vector<SegEntry> table;
-  E3D_RETURN_IF_ERROR(ParseHeader(data, size, &table));
-  std::vector<std::pair<uint32_t, uint64_t>> out;
-  out.reserve(table.size());
-  for (const SegEntry& e : table) out.emplace_back(e.id, e.length);
-  return out;
-}
-
-Result<DecodedArtifacts> DecodeArtifacts(std::shared_ptr<MmapFile> file) {
-  const uint8_t* data = file->data();
-  const size_t size = file->size();
+Result<DecodedArtifacts> DecodeArtifacts(const uint8_t* data, size_t size,
+                                         std::shared_ptr<const void> owner) {
   std::vector<SegEntry> table;
   E3D_RETURN_IF_ERROR(ParseHeader(data, size, &table));
   E3D_RETURN_IF_ERROR(VerifySegments(data, table));
@@ -522,13 +506,13 @@ Result<DecodedArtifacts> DecodeArtifacts(std::shared_ptr<MmapFile> file) {
     E3D_RETURN_IF_ERROR(
         ValidateColumns(c2, art->t2.size(), art->dict.size()));
     // The relation borrows the columns straight out of the mapping; the
-    // shared MmapFile parked in storage_owner keeps the pages alive for
-    // the block's whole lifetime (dies with the last ArtifactsPtr).
+    // owner parked in storage_owner keeps the pages alive for the block's
+    // whole lifetime (dies with the last ArtifactsPtr).
     art->i1 = std::make_unique<InternedRelation>(art->t1, &art->dict,
                                                  with_bags != 0, c1);
     art->i2 = std::make_unique<InternedRelation>(art->t2, &art->dict,
                                                  with_bags != 0, c2);
-    art->storage_owner = std::move(file);
+    art->storage_owner = std::move(owner);
   }
   out.artifacts = std::move(art);
   return out;
@@ -564,19 +548,19 @@ std::vector<uint8_t> EncodeIncumbents(
 
 Result<std::vector<std::pair<std::string, SolverIncumbents>>>
 DecodeIncumbents(const uint8_t* data, size_t size) {
-  if (size < 20) return Corrupt("incumbent file shorter than header");
+  if (size < 20) return Corrupt("incumbent blob shorter than header");
   if (std::memcmp(data, kIncMagic, 8) != 0) {
-    return Corrupt("incumbent file bad magic");
+    return Corrupt("incumbent blob bad magic");
   }
   uint32_t version = 0;
   uint64_t checksum = 0;
   std::memcpy(&version, data + 8, 4);
   std::memcpy(&checksum, data + 12, 8);
   if (version == 0 || version > kSnapshotVersion) {
-    return Corrupt("incumbent file unsupported version");
+    return Corrupt("incumbent blob unsupported version");
   }
   if (Checksum64(data + 20, size - 20) != checksum) {
-    return Corrupt("incumbent file checksum mismatch");
+    return Corrupt("incumbent blob checksum mismatch");
   }
   ByteReader r(data + 20, size - 20);
   size_t n = 0;

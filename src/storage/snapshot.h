@@ -1,6 +1,7 @@
-// Snapshot codec: one Stage1Artifacts block <-> one on-disk file.
+// Snapshot codec: one Stage1Artifacts block <-> one blob of bytes (a
+// snapshot file, storage/snapshot_file.h, holds one blob per cache entry).
 //
-// File layout (all integers little-endian):
+// Blob layout (all integers little-endian):
 //
 //   +-----------------------------------------------------------+
 //   | magic "E3DSNAP1" | version u32 | segment_count u32        |
@@ -8,6 +9,7 @@
 //   |                 checksum u64} x segment_count             |
 //   | ...pad to 64...                                           |
 //   | segment payloads, each offset 64-byte aligned             |
+//   | ...zero pad to 64 (blobs concatenate at aligned offsets)  |
 //   +-----------------------------------------------------------+
 //
 // Segment ids:
@@ -26,10 +28,10 @@
 // META segment (answers, canonical tuples, dictionary strings) is
 // deserialized normally; candidates are the one sizeable copied array.
 //
-// Integrity: every segment carries a Checksum64 in the table; DecodeTo
+// Integrity: every segment carries a Checksum64 in the table; the decoder
 // verifies the header, every checksum, and the structural CSR invariants
 // (monotone offsets, cross-array sizes, token ids < dictionary size)
-// before constructing anything, so a truncated or bit-flipped file fails
+// before constructing anything, so a truncated or bit-flipped blob fails
 // with Status::Corruption — never a crash or a silently wrong block.
 
 #ifndef EXPLAIN3D_STORAGE_SNAPSHOT_H_
@@ -43,7 +45,6 @@
 #include "common/status.h"
 #include "core/incumbents.h"
 #include "core/matching_context.h"
-#include "storage/io.h"
 
 namespace explain3d {
 namespace storage {
@@ -52,39 +53,33 @@ namespace storage {
 inline constexpr uint32_t kSnapshotVersion = 1;
 
 /// Serializes one artifacts block (with its cache key) to bytes in the
-/// format above. The block must be complete (i1/i2 may be null only if
-/// built without interning — flags record this).
+/// format above; the length is a multiple of 64. The block must be
+/// complete (i1/i2 may be null only if built without interning — flags
+/// record this).
 std::vector<uint8_t> EncodeArtifacts(const std::string& key,
                                      const Stage1Artifacts& art);
 
 /// One decoded snapshot entry: the cache key it was stored under and the
-/// reconstructed immutable block. `artifacts->storage_owner` holds the
-/// mapping the interned columns borrow.
+/// reconstructed immutable block.
 struct DecodedArtifacts {
   std::string key;
   ArtifactsPtr artifacts;
 };
 
-/// Decodes a mapped snapshot file, verifying every checksum and the CSR
-/// structure. On success the returned block's i1/i2 borrow their columns
-/// from `file`, which is retained via storage_owner.
-Result<DecodedArtifacts> DecodeArtifacts(std::shared_ptr<MmapFile> file);
-
-/// Verifies header + all segment checksums of mapped bytes without
-/// constructing anything (the `verify` CLI path; cheaper than a decode).
-Status VerifySnapshotBytes(const uint8_t* data, size_t size);
-
-/// Lists segment (id, length) pairs of a valid header (the `inspect` CLI
-/// path). Fails with Corruption on a malformed header.
-Result<std::vector<std::pair<uint32_t, uint64_t>>> ListSegments(
-    const uint8_t* data, size_t size);
+/// Decodes the blob at [data, data + size), verifying every checksum and
+/// the CSR structure. On success the returned block's i1/i2 borrow their
+/// columns from those bytes in place; `owner` (parked in the block's
+/// storage_owner) must keep them alive — the snapshot file's mapping.
+/// The bytes must be 8-byte aligned.
+Result<DecodedArtifacts> DecodeArtifacts(const uint8_t* data, size_t size,
+                                         std::shared_ptr<const void> owner);
 
 /// Serializes the incumbent store: a sequence of (key, SolverIncumbents)
 /// records behind a magic + checksum header.
 std::vector<uint8_t> EncodeIncumbents(
     const std::vector<std::pair<std::string, SolverIncumbents>>& entries);
 
-/// Decodes an incumbent file; full-buffer checksum verified first.
+/// Decodes an incumbent blob; full-buffer checksum verified first.
 Result<std::vector<std::pair<std::string, SolverIncumbents>>>
 DecodeIncumbents(const uint8_t* data, size_t size);
 

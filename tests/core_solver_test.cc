@@ -398,9 +398,9 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
   [[maybe_unused]] const auto& [alpha, beta, batch_size, theta_low,
                                 theta_high, reward, use_pre_partitioning,
                                 decompose_components, seed,
-                                milp_max_constraints, milp_time_limit_seconds,
-                                milp_max_nodes, exact_max_nodes, warm_start,
-                                portfolio, num_threads] = defaults;
+                                milp_max_constraints, milp_max_nodes,
+                                exact_max_nodes, warm_start, portfolio,
+                                num_threads] = defaults;
 
   struct Row {
     const char* field;
@@ -422,9 +422,6 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
       {"seed", [](Explain3DConfig* c) { c->seed = 2; }, true},
       {"milp_max_constraints",
        [](Explain3DConfig* c) { c->milp_max_constraints = 100; }, true},
-      // A blown budget fails the call; it never changes an answer.
-      {"milp_time_limit_seconds",
-       [](Explain3DConfig* c) { c->milp_time_limit_seconds = 5; }, false},
       {"milp_max_nodes", [](Explain3DConfig* c) { c->milp_max_nodes = 100; },
        true},
       {"exact_max_nodes",

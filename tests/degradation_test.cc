@@ -210,29 +210,17 @@ TEST(DegradationTest, FallbackReturnsMarkedDegradedResultWithinBudget) {
   EXPECT_LT(elapsed, 10.0);
 }
 
-TEST(DegradationTest, ConfigBudgetAloneTriggersFallback) {
-  // No caller token at all: milp_time_limit_seconds is the whole budget.
-  SyntheticDataset data = DegradeTestData(52);
-  PipelineInput input = HardInput(data);
-  Explain3DConfig config = HardSolveConfig();
-  config.portfolio = true;
-  config.milp_time_limit_seconds = 0.3;
-  Result<PipelineResult> r = RunExplain3D(input, config);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r.value().degraded());
-  EXPECT_LE(r.value().degradation().budget_seconds, 0.3 + 1e-9);
-}
-
 TEST(DegradationTest, UserCancelAlwaysWinsOverFallback) {
   SyntheticDataset data = DegradeTestData(53);
   PipelineInput input = HardInput(data);
   Explain3DConfig config = HardSolveConfig();
   config.portfolio = true;
-  config.milp_time_limit_seconds = 30.0;
 
   // The oracle runs after stage-1 artifacts and before the solve; firing
-  // the token there is "user cancelled mid-request".
-  CancelToken token;
+  // the token there is "user cancelled mid-request". The token's
+  // deadline gives the portfolio a finite budget to degrade within —
+  // the cancel must still fail the call.
+  CancelToken token(30.0);
   input.cancel = &token;
   input.calibration_oracle = [&token](const CanonicalRelation&,
                                       const CanonicalRelation&, const Table&,

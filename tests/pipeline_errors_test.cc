@@ -234,28 +234,6 @@ TEST(PipelineCancelTest, DeadlineDuringSolveInterruptsWithoutDegradedResult) {
   EXPECT_EQ(context.size(), 1u);
 }
 
-TEST(PipelineCancelTest, MilpTimeLimitRoutesThroughTheDeadlineToken) {
-  // The former wall-clock solver path (hit the limit → silently switch
-  // to a time-truncated incumbent) is gone: a blown
-  // milp_time_limit_seconds now FAILS the call with kDeadlineExceeded,
-  // with no token required from the caller.
-  SyntheticDataset data = CancelTestData(44);
-  PipelineInput input = CancelTestInput(data, /*context=*/nullptr);
-  input.mapping_options.use_blocking = false;
-  input.mapping_options.min_probability = 1e-12;
-
-  Explain3DConfig config = HardSolveConfig();
-  config.milp_time_limit_seconds = 0.3;
-  auto start = std::chrono::steady_clock::now();
-  Result<PipelineResult> r = RunExplain3D(input, config);
-  double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(elapsed, 10.0);
-}
-
 TEST(BartTest, ErrorRateRoughlyRespected) {
   Database db("d");
   Schema s;

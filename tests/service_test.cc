@@ -52,11 +52,6 @@ ExplanationRequest MakeRequest(const SyntheticDataset& data,
   req.calibration_oracle =
       MakeRowEntityOracle(data.row_entities1, data.row_entities2);
   req.config.num_threads = 1;
-  // No milp_time_limit_seconds pin anymore: the default is 0 (unlimited)
-  // and a nonzero limit now fails the call via the deadline token
-  // instead of silently switching solvers — there is no wall-clock-
-  // dependent RESULT path left for load (or TSan's ~20x slowdown) to
-  // perturb.
   return req;
 }
 
@@ -370,16 +365,15 @@ TEST(ServiceTicketTest, DeadlineExpiresWhileQueued) {
 }
 
 TEST(ServiceTicketTest, InfiniteDeadlineAnswersOk) {
-  // Regression: deadlines past the steady clock's range (+inf here, and
-  // a 1e10 s stage-2 budget) overflowed into the past and fired at the
-  // first poll, so the request failed without running.
+  // Regression: deadlines past the steady clock's range (+inf here)
+  // overflowed into the past and fired at the first poll, so the request
+  // failed without running.
   Explain3DService service;
   SyntheticDataset data = MakeData(23, 60);
   DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
   ExplanationRequest req = MakeRequest(data, h1, h2);
   req.deadline_seconds = std::numeric_limits<double>::infinity();
-  req.config.milp_time_limit_seconds = 1e10;
   TicketPtr t = service.Submit(req);
   const Result<PipelineResult>& r = t->Wait();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -623,31 +617,6 @@ TEST(ServiceCancelTest, DeadlineMidSolveResolvesWithDeadlineExceeded) {
   // contract is that NOTHING (partial) is cached — never more than the
   // one complete block either way.
   EXPECT_LE(service.cache().size(), 1u);
-}
-
-TEST(ServiceCancelTest, ConfigBudgetBlowoutCountsAsFailedNotDeadline) {
-  // milp_time_limit_seconds is a property of the WORK (the request's
-  // own config), not of scheduling: blowing it fails the completion,
-  // it must not inflate the scheduler's deadline_exceeded counter —
-  // that bucket is reserved for the request deadline.
-  ServiceOptions options;
-  options.max_concurrency = 1;
-  Explain3DService service(options);
-  SyntheticDataset data = MakeData(36);
-  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
-  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
-
-  ExplanationRequest req = MakeHardSolveRequest(data, h1, h2);
-  req.config.milp_time_limit_seconds = 0.3;  // stage-2 budget, no deadline
-  TicketPtr t = service.Submit(req);
-  const Result<PipelineResult>* r = t->WaitFor(60.0);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->status().code(), StatusCode::kDeadlineExceeded);
-
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.deadline_exceeded, 0u);
 }
 
 // --- priority scheduling ----------------------------------------------------

@@ -1,15 +1,18 @@
 // Persistence-tier tests (src/storage/): snapshot codec round-trips are
 // bit-identical and zero-copy (decoded columns point INTO the mapping);
-// truncated or bit-flipped files are rejected with kCorruption, never a
-// crash or a silently different block; the artifact store's commit
-// protocol survives a 100-seed injected-fault sweep over every crash
-// window (storage.write / storage.fsync / storage.rename); a service
-// restarted over a snapshot answers its first repeated request from the
-// warm cache, bit-identically, with warm-started solves; and concurrent
-// snapshots into one directory leave a clean store.
+// truncated or bit-flipped bytes are rejected with kCorruption, never a
+// crash or a silently different block; a snapshot file is replaced only
+// by its rename, which survives a 100-seed injected-fault sweep over
+// every crash window (storage.write / storage.fsync / storage.rename); a
+// service restarted over a snapshot answers its first repeated request
+// from the warm cache, bit-identically, with warm-started solves; a
+// restore brings back exactly the cache at the last snapshot, in its LRU
+// order; and re-snapshotting over the file a service has mapped, or from
+// two threads at once, leaves everything serving and the file clean.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -25,19 +28,19 @@
 #include "datagen/synthetic.h"
 #include "eval/gold.h"
 #include "service/service.h"
-#include "storage/artifact_store.h"
 #include "storage/checksum.h"
 #include "storage/content_hash.h"
 #include "storage/io.h"
 #include "storage/snapshot.h"
+#include "storage/snapshot_file.h"
 
 namespace explain3d {
 namespace {
 
-using storage::ArtifactStore;
 using storage::Checksum64;
 using storage::DecodedArtifacts;
 using storage::MmapFile;
+using storage::SnapshotContents;
 
 SyntheticDataset MakeData(uint64_t seed, size_t n = 60) {
   SyntheticOptions gen;
@@ -161,7 +164,7 @@ std::string TempPath(const std::string& name) {
 }
 
 /// TempDir() persists across runs of the binary; a store directory must
-/// start empty or a leftover commit from a previous run restores into
+/// start empty or a leftover snapshot from a previous run restores into
 /// the test's "fresh" service.
 std::string FreshDir(const std::string& name) {
   std::string dir = TempPath(name);
@@ -169,19 +172,52 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-/// Flips one byte in the middle of a committed snapshot file in `dir`.
-void DamageOneArtifactFile(const std::string& dir) {
-  std::string victim;
-  Result<std::vector<std::string>> files = storage::ListDirectoryFiles(dir);
-  ASSERT_TRUE(files.ok());
-  for (const std::string& name : files.value()) {
-    if (name.rfind("art-", 0) == 0) victim = storage::JoinPath(dir, name);
+std::string SnapshotPath(const std::string& dir) {
+  return storage::JoinPath(dir, storage::kSnapshotFileName);
+}
+
+/// Names of the files in `dir`, sorted.
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
   }
-  ASSERT_FALSE(victim.empty());
-  std::vector<uint8_t> bytes = storage::ReadFileBytes(victim).value();
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  MmapFile file = MmapFile::Open(path).value();
+  return std::vector<uint8_t>(file.data(), file.data() + file.size());
+}
+
+/// Replaces the file at `path` with the first `len` of `bytes`. The
+/// atomic rename gives it a new inode, so a restored cache that maps the
+/// old file keeps its pages.
+void ReplaceFile(const std::string& path, const std::vector<uint8_t>& bytes,
+                 size_t len) {
+  Status written =
+      storage::WriteFileAtomic(path, [&](const storage::ByteSink& sink) {
+        return sink(bytes.data(), len);
+      });
+  ASSERT_TRUE(written.ok()) << written.ToString();
+}
+
+/// Flips one byte in the middle of the snapshot file in `dir`.
+void DamageSnapshotFile(const std::string& dir) {
+  std::vector<uint8_t> bytes = ReadBytes(SnapshotPath(dir));
+  ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() / 2] ^= 0x01;
-  ASSERT_TRUE(
-      storage::WriteFileAtomic(victim, bytes.data(), bytes.size()).ok());
+  ReplaceFile(SnapshotPath(dir), bytes, bytes.size());
+}
+
+/// A complete one-unit incumbent record.
+SolverIncumbents MakeIncumbents(uint64_t fingerprint, double objective) {
+  SolverIncumbents inc;
+  inc.objective = objective;
+  inc.complete = true;
+  inc.units.push_back({fingerprint, objective, false});
+  return inc;
 }
 
 // --- checksum + content hash ------------------------------------------------
@@ -226,48 +262,40 @@ TEST(SnapshotRoundTripTest, MmapLoadIsBitIdenticalAndZeroCopy) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     SyntheticDataset data = MakeData(seed);
     auto [key, art] = BuildArtifacts(data);
-    std::vector<uint8_t> bytes = storage::EncodeArtifacts(key, *art);
-    ASSERT_EQ(storage::VerifySnapshotBytes(bytes.data(), bytes.size()),
-              Status::OK());
+    // Blobs are padded to whole 64-byte lines, so they concatenate at
+    // aligned offsets.
+    EXPECT_EQ(storage::EncodeArtifacts(key, *art).size() % 64, 0u);
 
-    const std::string path =
-        TempPath("roundtrip-" + std::to_string(seed) + ".e3ds");
-    ASSERT_TRUE(
-        storage::WriteFileAtomic(path, bytes.data(), bytes.size()).ok());
-    Result<MmapFile> mapped = MmapFile::Open(path);
-    ASSERT_TRUE(mapped.ok());
-    auto file = std::make_shared<MmapFile>(std::move(mapped).value());
-    const uint8_t* map_begin = file->data();
-    const uint8_t* map_end = map_begin + file->size();
-
-    Result<DecodedArtifacts> decoded = storage::DecodeArtifacts(file);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().key, key);
-    const Stage1Artifacts& loaded = *decoded.value().artifacts;
-    ExpectArtifactsBitIdentical(*art, loaded);
+    const std::string dir = FreshDir("roundtrip-" + std::to_string(seed));
+    ASSERT_TRUE(storage::WriteSnapshotFile(dir, {{key, art}}, {}).ok());
+    ArtifactsPtr block;
+    {
+      Result<SnapshotContents> read = storage::ReadSnapshotFile(dir);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      ASSERT_EQ(read.value().entries.size(), 1u);
+      EXPECT_TRUE(read.value().incumbents.empty());
+      EXPECT_EQ(read.value().entries[0].key, key);
+      block = read.value().entries[0].artifacts;
+    }
+    ExpectArtifactsBitIdentical(*art, *block);
 
     // Zero-copy proof: the decoded relations BORROW their columnar
-    // arrays — the spans point into the mapping, not at fresh copies,
-    // and the block pins the mapping via storage_owner.
-    ASSERT_NE(loaded.i1, nullptr);
-    EXPECT_TRUE(loaded.i1->borrowed());
-    EXPECT_TRUE(loaded.i2->borrowed());
+    // arrays — the spans point into the file's mapping, not at fresh
+    // copies, and the block pins the mapping via storage_owner.
+    ASSERT_NE(block->i1, nullptr);
+    EXPECT_TRUE(block->i1->borrowed());
+    EXPECT_TRUE(block->i2->borrowed());
+    auto file = std::static_pointer_cast<const MmapFile>(block->storage_owner);
+    ASSERT_NE(file, nullptr);
     const uint8_t* col =
-        reinterpret_cast<const uint8_t*>(loaded.i1->columns().token_ids.data());
-    EXPECT_GE(col, map_begin);
-    EXPECT_LT(col, map_end);
-    EXPECT_NE(loaded.storage_owner, nullptr);
+        reinterpret_cast<const uint8_t*>(block->i1->columns().token_ids.data());
+    EXPECT_GE(col, file->data());
+    EXPECT_LT(col, file->data() + file->size());
 
-    // The mapping must live exactly as long as the block: dropping the
-    // local file reference leaves the block's columns valid.
-    size_t checksum_before =
-        loaded.i1->columns().token_ids.empty()
-            ? 0
-            : loaded.i1->columns().token_ids[0];
+    // The mapping must live exactly as long as the block: with the read
+    // result and this reference gone, the block's columns stay valid.
     file.reset();
-    EXPECT_EQ(checksum_before, loaded.i1->columns().token_ids.empty()
-                                   ? 0
-                                   : loaded.i1->columns().token_ids[0]);
+    ExpectArtifactsBitIdentical(*art, *block);
   }
 }
 
@@ -275,26 +303,36 @@ TEST(SnapshotCorruptionTest, TruncationIsRejected) {
   SyntheticDataset data = MakeData(21);
   auto [key, art] = BuildArtifacts(data);
   std::vector<uint8_t> bytes = storage::EncodeArtifacts(key, *art);
-  // Every truncation point (strided for runtime, plus the boundary
-  // cases) must fail verification — and must fail DECODE with
-  // kCorruption too, never crash.
-  std::vector<size_t> cuts = {0, 1, 7, 8, 19, 20, bytes.size() / 2,
-                              bytes.size() - 1};
-  for (size_t cut = 64; cut < bytes.size(); cut += 997) cuts.push_back(cut);
+  // Every cut that removes content (strided for runtime, plus the
+  // boundary cases) must fail DECODE with kCorruption, never crash. The
+  // last 64 bytes may be the zero tail pad, which carries no content.
+  const size_t content = bytes.size() - 64;
+  std::vector<size_t> cuts = {0, 1, 7, 8, 19, 20, bytes.size() / 2, content};
+  for (size_t cut = 64; cut < content; cut += 997) cuts.push_back(cut);
   for (size_t cut : cuts) {
-    Status verify = storage::VerifySnapshotBytes(bytes.data(), cut);
-    EXPECT_FALSE(verify.ok()) << "cut=" << cut;
-    EXPECT_EQ(verify.code(), StatusCode::kCorruption) << "cut=" << cut;
-
-    const std::string path = TempPath("truncated.e3ds");
-    ASSERT_TRUE(storage::WriteFileAtomic(path, bytes.data(), cut).ok());
-    Result<MmapFile> mapped = MmapFile::Open(path);
-    ASSERT_TRUE(mapped.ok());
-    Result<DecodedArtifacts> decoded = storage::DecodeArtifacts(
-        std::make_shared<MmapFile>(std::move(mapped).value()));
+    Result<DecodedArtifacts> decoded =
+        storage::DecodeArtifacts(bytes.data(), cut, nullptr);
     ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
         << "cut=" << cut;
+  }
+
+  // A snapshot file cut anywhere loses its footer: every cut fails the
+  // whole read.
+  const std::string dir = FreshDir("truncated");
+  ASSERT_TRUE(storage::WriteSnapshotFile(
+                  dir, {{key, art}}, {{"inc", MakeIncumbents(7, -1.0)}})
+                  .ok());
+  std::vector<uint8_t> file = ReadBytes(SnapshotPath(dir));
+  std::vector<size_t> file_cuts = {0, 1, 31, 32, file.size() - 1};
+  for (size_t cut = 97; cut < file.size(); cut += 1499) {
+    file_cuts.push_back(cut);
+  }
+  for (size_t cut : file_cuts) {
+    ReplaceFile(SnapshotPath(dir), file, cut);
+    Result<SnapshotContents> read = storage::ReadSnapshotFile(dir);
+    ASSERT_FALSE(read.ok()) << "cut=" << cut;
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption) << "cut=" << cut;
   }
 }
 
@@ -302,7 +340,7 @@ TEST(SnapshotCorruptionTest, BitFlipsNeverYieldADifferentBlock) {
   SyntheticDataset data = MakeData(22);
   auto [key, art] = BuildArtifacts(data);
   std::vector<uint8_t> bytes = storage::EncodeArtifacts(key, *art);
-  // Strided single-bit flips across the whole file. Every flip must
+  // Strided single-bit flips across the whole blob. Every flip must
   // either be caught (kCorruption) or be provably harmless — a flip in
   // alignment padding that still decodes to the bit-identical block.
   // What can never happen: an OK decode of DIFFERENT data, or a crash.
@@ -310,13 +348,8 @@ TEST(SnapshotCorruptionTest, BitFlipsNeverYieldADifferentBlock) {
   for (size_t pos = 0; pos < bytes.size(); pos += stride) {
     std::vector<uint8_t> flipped = bytes;
     flipped[pos] ^= 1u << (pos % 8);
-    const std::string path = TempPath("bitflip.e3ds");
-    ASSERT_TRUE(
-        storage::WriteFileAtomic(path, flipped.data(), flipped.size()).ok());
-    Result<MmapFile> mapped = MmapFile::Open(path);
-    ASSERT_TRUE(mapped.ok());
-    Result<DecodedArtifacts> decoded = storage::DecodeArtifacts(
-        std::make_shared<MmapFile>(std::move(mapped).value()));
+    Result<DecodedArtifacts> decoded =
+        storage::DecodeArtifacts(flipped.data(), flipped.size(), nullptr);
     if (!decoded.ok()) {
       EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
           << "pos=" << pos;
@@ -325,6 +358,51 @@ TEST(SnapshotCorruptionTest, BitFlipsNeverYieldADifferentBlock) {
     EXPECT_EQ(decoded.value().key, key) << "pos=" << pos;
     ExpectArtifactsBitIdentical(*art, *decoded.value().artifacts);
   }
+}
+
+TEST(SnapshotCorruptionTest, BitFlipsInAFileNeverYieldADifferentImage) {
+  // The same contract for a whole snapshot file: the footer checksum
+  // covers the row table, each blob carries its own checksums, and a
+  // flip anywhere is caught unless it lands in alignment padding — and
+  // then the file still reads back bit-identically.
+  SyntheticDataset data1 = MakeData(23), data2 = MakeData(24);
+  auto [key1, art1] = BuildArtifacts(data1);
+  auto [key2, art2] = BuildArtifacts(data2);
+  const std::string dir = FreshDir("damaged-file");
+  ASSERT_TRUE(storage::WriteSnapshotFile(
+                  dir, {{key1, art1}, {key2, art2}},
+                  {{"inc", MakeIncumbents(7, -1.0)}})
+                  .ok());
+  const std::vector<uint8_t> bytes =
+      ReadBytes(SnapshotPath(dir));
+  std::vector<size_t> positions;
+  for (size_t pos = 0; pos < bytes.size(); pos += bytes.size() / 151 + 1) {
+    positions.push_back(pos);
+  }
+  for (size_t back = 1; back <= 200; back += 3) {
+    positions.push_back(bytes.size() - back);  // the row table and footer
+  }
+  size_t caught = 0;
+  for (size_t pos : positions) {
+    std::vector<uint8_t> flipped = bytes;
+    flipped[pos] ^= 1u << (pos % 8);
+    ReplaceFile(SnapshotPath(dir), flipped, flipped.size());
+    Result<SnapshotContents> read = storage::ReadSnapshotFile(dir);
+    if (!read.ok()) {
+      EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+          << "pos=" << pos;
+      ++caught;
+      continue;
+    }
+    ASSERT_EQ(read.value().entries.size(), 2u) << "pos=" << pos;
+    EXPECT_EQ(read.value().entries[0].key, key1) << "pos=" << pos;
+    EXPECT_EQ(read.value().entries[1].key, key2) << "pos=" << pos;
+    ExpectArtifactsBitIdentical(*art1, *read.value().entries[0].artifacts);
+    ExpectArtifactsBitIdentical(*art2, *read.value().entries[1].artifacts);
+    ASSERT_EQ(read.value().incumbents.size(), 1u) << "pos=" << pos;
+    EXPECT_EQ(read.value().incumbents[0].second.objective, -1.0);
+  }
+  EXPECT_GT(caught, positions.size() * 9 / 10);
 }
 
 TEST(IncumbentCodecTest, RoundTripAndCorruption) {
@@ -362,97 +440,69 @@ TEST(IncumbentCodecTest, RoundTripAndCorruption) {
   }
 }
 
-// --- artifact store ---------------------------------------------------------
+// --- snapshot file ----------------------------------------------------------
 
-TEST(ArtifactStoreTest, CommitIsTheAtomicPublishPoint) {
+TEST(SnapshotFileTest, RenameIsTheOnlyCommitPoint) {
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "fault injection compiled out";
+  }
   SyntheticDataset data = MakeData(31);
   auto [key, art] = BuildArtifacts(data);
-  const std::string dir = FreshDir("store-atomic");
+  const std::string dir = FreshDir("snapshot-commit");
 
-  {
-    Result<ArtifactStore> store = ArtifactStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.value().PutArtifacts(key, *art).ok());
-    // Written but NOT committed: a reopened store must not see it.
-    Result<ArtifactStore> reader = ArtifactStore::Open(dir);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value().LoadAllArtifacts().value().size(), 0u);
-    EXPECT_EQ(reader.value().commit_seq(), 0u);
-    // The uncommitted file is an orphan; GC from the reader reclaims it.
-    EXPECT_EQ(reader.value().GarbageCollect().value(), 1u);
-  }
-  {
-    Result<ArtifactStore> store = ArtifactStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.value().PutArtifacts(key, *art).ok());
-    SolverIncumbents inc;
-    inc.objective = -1.0;
-    inc.complete = true;
-    inc.units.push_back({7, -1.0, false});
-    store.value().PutIncumbents("inc-key", inc);
-    ASSERT_TRUE(store.value().Commit().ok());
-    EXPECT_EQ(store.value().commit_seq(), 1u);
-  }
-  Result<ArtifactStore> reopened = ArtifactStore::Open(dir);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value().commit_seq(), 1u);
-  EXPECT_EQ(reopened.value().VerifyAll(), Status::OK());
-  auto loaded = reopened.value().LoadAllArtifacts();
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.value().size(), 1u);
-  EXPECT_EQ(loaded.value()[0].key, key);
-  ExpectArtifactsBitIdentical(*art, *loaded.value()[0].artifacts);
-  auto incumbents = reopened.value().LoadIncumbents();
-  ASSERT_TRUE(incumbents.ok());
-  ASSERT_EQ(incumbents.value().size(), 1u);
-  EXPECT_EQ(incumbents.value()[0].first, "inc-key");
-  EXPECT_EQ(incumbents.value()[0].second.units.size(), 1u);
-  // Nothing uncommitted: GC finds no orphans.
-  EXPECT_EQ(reopened.value().GarbageCollect().value(), 0u);
+  // A directory with no snapshot file (here: no directory at all) reads
+  // as empty.
+  Result<SnapshotContents> empty = storage::ReadSnapshotFile(dir);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty.value().entries.empty());
+  EXPECT_TRUE(empty.value().incumbents.empty());
 
-  // A commit.log left by an older store guards no state: the store opens
-  // cleanly, counts the file as an orphan, and GC reclaims it.
-  const std::string stale_log = storage::JoinPath(dir, "commit.log");
-  const uint8_t record[12] = {1, 2, 3};
-  ASSERT_TRUE(storage::WriteFileAtomic(stale_log, record, sizeof(record)).ok());
-  Result<ArtifactStore> upgraded = ArtifactStore::Open(dir);
-  ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
-  EXPECT_EQ(upgraded.value().commit_seq(), 1u);
-  EXPECT_EQ(upgraded.value().Info().value().orphan_files, 1u);
-  EXPECT_EQ(upgraded.value().GarbageCollect().value(), 1u);
-  EXPECT_FALSE(storage::FileExists(stale_log));
-  EXPECT_EQ(upgraded.value().VerifyAll(), Status::OK());
-}
+  // Fully written and fsynced but never renamed: the temp file holds the
+  // whole image, and still no reader sees it.
+  ASSERT_TRUE(
+      FaultInjector::Instance().Configure("storage.rename=once0").ok());
+  Status unpublished = storage::WriteSnapshotFile(
+      dir, {{key, art}}, {{"inc-key", MakeIncumbents(7, -1.0)}});
+  FaultInjector::Instance().Disable();
+  EXPECT_EQ(unpublished.code(), StatusCode::kIOError);
+  EXPECT_EQ(FilesIn(dir),
+            std::vector<std::string>{std::string(storage::kSnapshotFileName) +
+                                     ".tmp"});
+  EXPECT_TRUE(storage::ReadSnapshotFile(dir).value().entries.empty());
 
-TEST(ArtifactStoreTest, VerifyAllAndLoadRejectDamage) {
-  SyntheticDataset data = MakeData(32);
-  auto [key, art] = BuildArtifacts(data);
-  const std::string dir = FreshDir("store-damage");
-  {
-    Result<ArtifactStore> store = ArtifactStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.value().PutArtifacts(key, *art).ok());
-    ASSERT_TRUE(store.value().Commit().ok());
-  }
-  ASSERT_NO_FATAL_FAILURE(DamageOneArtifactFile(dir));
+  // Published: the directory holds exactly the one file, and it reads
+  // back bit-identically.
+  ASSERT_TRUE(storage::WriteSnapshotFile(
+                  dir, {{key, art}}, {{"inc-key", MakeIncumbents(7, -1.0)}})
+                  .ok());
+  EXPECT_EQ(FilesIn(dir),
+            std::vector<std::string>{storage::kSnapshotFileName});
+  Result<SnapshotContents> read = storage::ReadSnapshotFile(dir);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.value().entries.size(), 1u);
+  EXPECT_EQ(read.value().entries[0].key, key);
+  ExpectArtifactsBitIdentical(*art, *read.value().entries[0].artifacts);
+  ASSERT_EQ(read.value().incumbents.size(), 1u);
+  EXPECT_EQ(read.value().incumbents[0].first, "inc-key");
+  EXPECT_EQ(read.value().incumbents[0].second.units.size(), 1u);
 
-  Result<ArtifactStore> store = ArtifactStore::Open(dir);
-  ASSERT_TRUE(store.ok());  // manifest itself is intact
-  Status verify = store.value().VerifyAll();
-  ASSERT_FALSE(verify.ok());
-  EXPECT_EQ(verify.code(), StatusCode::kCorruption);
-  auto loaded = store.value().LoadAllArtifacts();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  // The next snapshot replaces the image whole: nothing of the previous
+  // one survives it.
+  ASSERT_TRUE(storage::WriteSnapshotFile(dir, {}, {}).ok());
+  read = storage::ReadSnapshotFile(dir);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read.value().entries.empty());
+  EXPECT_TRUE(read.value().incumbents.empty());
 }
 
 // --- crash consistency under injected faults --------------------------------
 
 // The acceptance sweep: 100 seeds × p=0.3 faults armed on every storage
-// crash window. Whatever subset of writes/commits survives, a reopened
-// (fault-free) store must verify clean and serve only bit-identical
-// blocks — a torn or unpublished state must roll back to the previous
-// commit, never surface.
+// crash window while a second image is written over a first. Whatever
+// the faults leave behind, the snapshot file must verify clean and be,
+// bit for bit, either the first image or the second — never a torn mix —
+// and an acknowledged write is never lost. A leftover temp file changes
+// nothing.
 TEST(CrashConsistencyTest, HundredSeedFaultSweepNeverServesTornState) {
   if (!kFaultInjectionEnabled) {
     GTEST_SKIP() << "fault injection compiled out";
@@ -462,74 +512,73 @@ TEST(CrashConsistencyTest, HundredSeedFaultSweepNeverServesTornState) {
   auto [key1, art1] = BuildArtifacts(data1);
   auto [key2, art2] = BuildArtifacts(data2);
   ASSERT_NE(key1, key2);
+  const std::vector<std::pair<std::string, ArtifactsPtr>> first = {
+      {key1, art1}};
+  const std::vector<std::pair<std::string, ArtifactsPtr>> second = {
+      {key1, art1}, {key2, art2}};
+  const std::vector<std::pair<std::string, SolverIncumbents>> records = {
+      {"inc", MakeIncumbents(42, -2.0)}};
 
+  // The two images' exact bytes, written fault-free.
+  const std::string ref = FreshDir("crash-reference");
+  ASSERT_TRUE(storage::WriteSnapshotFile(ref, first, {}).ok());
+  const std::vector<uint8_t> first_bytes =
+      ReadBytes(SnapshotPath(ref));
+  ASSERT_TRUE(storage::WriteSnapshotFile(ref, second, records).ok());
+  const std::vector<uint8_t> second_bytes =
+      ReadBytes(SnapshotPath(ref));
+
+  size_t acknowledged = 0;
   for (uint64_t seed = 0; seed < 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     const std::string dir = FreshDir("crash-" + std::to_string(seed));
-    {
-      // First commit runs fault-free so every seed also exercises
-      // "previous state must survive a faulty second commit".
-      Result<ArtifactStore> store = ArtifactStore::Open(dir);
-      ASSERT_TRUE(store.ok());
-      ASSERT_TRUE(store.value().PutArtifacts(key1, *art1).ok());
-      ASSERT_TRUE(store.value().Commit().ok());
-    }
+    // The first image is written fault-free, so every seed also proves
+    // "the previous image survives a faulty write".
+    ASSERT_TRUE(storage::WriteSnapshotFile(dir, first, {}).ok());
     ASSERT_TRUE(FaultInjector::Instance()
                     .Configure("seed=" + std::to_string(seed) +
                                ";storage.*=p0.3")
                     .ok());
-    bool second_committed = false;
-    {
-      Result<ArtifactStore> store = ArtifactStore::Open(dir);
-      if (store.ok()) {
-        SolverIncumbents inc;
-        inc.objective = -2.0;
-        inc.complete = true;
-        inc.units.push_back({seed, -2.0, true});
-        Status put = store.value().PutArtifacts(key2, *art2);
-        store.value().PutIncumbents("inc", inc);
-        Status commit = store.value().Commit();
-        second_committed = put.ok() && commit.ok();
-        // Every failure in the faulted pass must be a clean IO/corruption
-        // status, never a crash or a silent OK.
-        for (const Status& s : {put, commit}) {
-          if (!s.ok()) {
-            EXPECT_TRUE(s.code() == StatusCode::kIOError ||
-                        s.code() == StatusCode::kCorruption)
-                << s.ToString();
-          }
-        }
-      }
-    }
+    Status write = storage::WriteSnapshotFile(dir, second, records);
     FaultInjector::Instance().Disable();
+    // A failed write is a clean IO status, never a crash.
+    if (write.ok()) {
+      ++acknowledged;
+    } else {
+      EXPECT_EQ(write.code(), StatusCode::kIOError);
+    }
 
-    // Recovery: reopen fault-free. The store must verify clean and hold
-    // either both commits or just the first — bit-identically.
-    Result<ArtifactStore> store = ArtifactStore::Open(dir);
-    ASSERT_TRUE(store.ok()) << "seed " << seed;
-    EXPECT_EQ(store.value().VerifyAll(), Status::OK()) << "seed " << seed;
-    auto loaded = store.value().LoadAllArtifacts();
-    ASSERT_TRUE(loaded.ok()) << "seed " << seed;
-    bool saw1 = false, saw2 = false;
-    for (const DecodedArtifacts& d : loaded.value()) {
-      if (d.key == key1) {
-        saw1 = true;
-        ExpectArtifactsBitIdentical(*art1, *d.artifacts);
-      } else if (d.key == key2) {
-        saw2 = true;
-        ExpectArtifactsBitIdentical(*art2, *d.artifacts);
-      } else {
-        ADD_FAILURE() << "seed " << seed << ": unexpected key " << d.key;
-      }
+    const std::vector<uint8_t> on_disk =
+        ReadBytes(SnapshotPath(dir));
+    const bool is_second = on_disk == second_bytes;
+    EXPECT_TRUE(is_second || on_disk == first_bytes) << "torn image";
+    if (write.ok()) {
+      EXPECT_TRUE(is_second) << "acknowledged write lost";
     }
-    EXPECT_TRUE(saw1) << "seed " << seed << ": first commit lost";
-    if (second_committed) {
-      EXPECT_TRUE(saw2) << "seed " << seed << ": committed state lost";
+
+    // The read runs beside whatever temp file the faults left behind.
+    Result<SnapshotContents> read = storage::ReadSnapshotFile(dir);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    ASSERT_EQ(read.value().entries.size(), is_second ? 2u : 1u);
+    ExpectArtifactsBitIdentical(*art1, *read.value().entries[0].artifacts);
+    if (is_second) {
+      ExpectArtifactsBitIdentical(*art2, *read.value().entries[1].artifacts);
     }
-    // GC after a crash reclaims any torn tmp/orphan without touching
-    // committed files.
-    ASSERT_TRUE(store.value().GarbageCollect().ok());
-    EXPECT_EQ(store.value().VerifyAll(), Status::OK()) << "seed " << seed;
+    EXPECT_EQ(read.value().incumbents.size(), is_second ? 1u : 0u);
+
+    // ...and it does not get in the way of the next write, which leaves
+    // the snapshot file alone in the directory.
+    ASSERT_TRUE(storage::WriteSnapshotFile(dir, second, records).ok());
+    EXPECT_EQ(ReadBytes(SnapshotPath(dir)),
+              second_bytes);
+    EXPECT_EQ(FilesIn(dir),
+              std::vector<std::string>{storage::kSnapshotFileName});
+    if (::testing::Test::HasFatalFailure()) break;
   }
+  // p=0.3 on three windows leaves about a third of the writes standing;
+  // the sweep must see both outcomes to mean anything.
+  EXPECT_GT(acknowledged, 0u);
+  EXPECT_LT(acknowledged, 100u);
 }
 
 // --- warm service restart ---------------------------------------------------
@@ -617,9 +666,9 @@ TEST(ServicePersistenceTest, WarmRestartAnswersBitIdenticallyFromDisk) {
   EXPECT_EQ(t->Wait().value().artifacts().get(), restored_block.get());
   ExpectPipelineResultsBitIdentical(t->Wait().value(), first);
 
-  // One damaged committed file fails the whole restore: everything is
-  // verified before the first insert, so the cache stays empty.
-  ASSERT_NO_FATAL_FAILURE(DamageOneArtifactFile(dir));
+  // A damaged snapshot fails the whole restore: everything is verified
+  // before the first insert, so the cache stays empty.
+  ASSERT_NO_FATAL_FAILURE(DamageSnapshotFile(dir));
   Explain3DService damaged;
   EXPECT_EQ(damaged.RestoreFrom(dir).code(), StatusCode::kCorruption);
   ServiceStats empty = damaged.Stats();
@@ -629,10 +678,9 @@ TEST(ServicePersistenceTest, WarmRestartAnswersBitIdenticallyFromDisk) {
   EXPECT_EQ(empty.restored_incumbents, 0u);
 }
 
-// SnapshotTo opens its own store per call. Two stores on one directory
-// share temp-file names and would race their commits, so concurrent
-// calls take turns: two threads snapshotting at once while requests run
-// must leave a store that verifies clean and restores every entry.
+// Concurrent SnapshotTo calls share the file's temp name, so they take
+// turns: two threads snapshotting at once while requests run must leave
+// one snapshot file that verifies clean and restores every entry.
 TEST(ServicePersistenceTest, ConcurrentSnapshotsLeaveACleanStore) {
   const std::string dir = FreshDir("concurrent-snapshots");
   SyntheticDataset left = MakeData(52), right = MakeData(53);
@@ -664,14 +712,141 @@ TEST(ServicePersistenceTest, ConcurrentSnapshotsLeaveACleanStore) {
   EXPECT_TRUE(second.ok()) << second.ToString();
   for (const TicketPtr& t : running) ASSERT_TRUE(t->Wait().ok());
 
-  Result<ArtifactStore> store = ArtifactStore::Open(dir);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store.value().VerifyAll(), Status::OK());
+  EXPECT_EQ(FilesIn(dir),
+            std::vector<std::string>{storage::kSnapshotFileName});
+  EXPECT_TRUE(storage::ReadSnapshotFile(dir).ok());
   // One more snapshot after the requests: the image holds both pairs.
   ASSERT_TRUE(service.SnapshotTo(dir).ok());
   Explain3DService restored;
   ASSERT_TRUE(restored.RestoreFrom(dir).ok());
   EXPECT_EQ(restored.Stats().restored_entries, 2u);
+}
+
+// A snapshot is the cache at the moment of the call: entries and records
+// the cache retired before a later snapshot into the same directory do
+// not come back on restore.
+TEST(ServicePersistenceTest, RestoreBringsBackOnlyTheLastSnapshot) {
+  const std::string dir = FreshDir("last-snapshot");
+  SyntheticDataset before = MakeData(64), after = MakeData(65);
+  Explain3DService a;
+  DatabaseHandle h1 = a.RegisterDatabase("left", before.db1);
+  DatabaseHandle h2 = a.RegisterDatabase("right", before.db2);
+  ASSERT_TRUE(a.Submit(MakeServiceRequest(before, h1, h2))->Wait().ok());
+  ASSERT_TRUE(a.SnapshotTo(dir).ok());
+
+  // New contents under the same names retire the old entry and record;
+  // serving the new pair caches exactly one of each again.
+  h1 = a.RegisterDatabase("left", after.db1);
+  h2 = a.RegisterDatabase("right", after.db2);
+  ASSERT_TRUE(a.Submit(MakeServiceRequest(after, h1, h2))->Wait().ok());
+  ASSERT_EQ(a.Stats().cache_entries, 1u);
+  ASSERT_EQ(a.Stats().incumbent_entries, 1u);
+  const std::string live_key = a.cache().Entries().front().first;
+  ASSERT_TRUE(a.SnapshotTo(dir).ok());
+
+  Explain3DService b;
+  ASSERT_TRUE(b.RestoreFrom(dir).ok());
+  ServiceStats stats = b.Stats();
+  EXPECT_EQ(stats.restored_entries, 1u);
+  EXPECT_EQ(stats.restored_incumbents, 1u);
+  auto entries = b.cache().Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.front().first, live_key);
+}
+
+// A restore inserts least recently used first, so the restored cache has
+// the snapshot's LRU order: restored under a budget that fits two of
+// three entries, the two most recently used survive.
+TEST(ServicePersistenceTest, RestoreKeepsLruOrder) {
+  const std::string dir = FreshDir("lru-order");
+  SyntheticDataset data[3] = {MakeData(56), MakeData(57), MakeData(58)};
+  auto request = [&](Explain3DService& service, int i) {
+    DatabaseHandle h1 = service.RegisterDatabase(
+        "left" + std::to_string(i), data[i].db1);
+    DatabaseHandle h2 = service.RegisterDatabase(
+        "right" + std::to_string(i), data[i].db2);
+    ExplanationRequest req = MakeServiceRequest(data[i], h1, h2);
+    req.config.warm_start = false;  // the budget prices artifacts alone
+    return req;
+  };
+  std::vector<std::string> mru_first;
+  {
+    Explain3DService a;
+    // Touch order 0, 1, 2, then 0 again: least recently used is 1.
+    for (int i : {0, 1, 2, 0}) {
+      ASSERT_TRUE(a.Submit(request(a, i))->Wait().ok());
+    }
+    for (const auto& [key, art] : a.cache().Entries()) {
+      mru_first.push_back(key);
+    }
+    ASSERT_EQ(mru_first.size(), 3u);
+    ASSERT_TRUE(a.SnapshotTo(dir).ok());
+  }
+
+  // What the three restored entries weigh, measured on a restore.
+  size_t restored_bytes = 0;
+  {
+    Explain3DService unbounded;
+    ASSERT_TRUE(unbounded.RestoreFrom(dir).ok());
+    restored_bytes = unbounded.Stats().cache_bytes;
+  }
+  ServiceOptions options;
+  options.cache_budget_bytes = restored_bytes - 1;
+  Explain3DService b(options);
+  ASSERT_TRUE(b.RestoreFrom(dir).ok());
+  std::vector<std::string> kept;
+  for (const auto& [key, art] : b.cache().Entries()) kept.push_back(key);
+  EXPECT_EQ(kept, (std::vector<std::string>{mru_first[0], mru_first[1]}));
+  EXPECT_EQ(b.Stats().cache_evictions, 1u);
+}
+
+// SnapshotTo renames a new file over the one a restored cache has
+// mapped. The mapped blocks keep their pages (the rename unlinks the
+// name, not the inode), so the service keeps answering bit-identically,
+// and a fresh restore from the new file matches too.
+TEST(ServicePersistenceTest, ResnapshotOverTheMappedFileKeepsServing) {
+  const std::string dir = FreshDir("resnapshot-mapped");
+  SyntheticDataset data = MakeData(59);
+  PipelineResult cold;
+  {
+    Explain3DService a;
+    DatabaseHandle h1 = a.RegisterDatabase("left", data.db1);
+    DatabaseHandle h2 = a.RegisterDatabase("right", data.db2);
+    TicketPtr t = a.Submit(MakeServiceRequest(data, h1, h2));
+    ASSERT_TRUE(t->Wait().ok());
+    cold = t->Wait().value();
+    ASSERT_TRUE(a.SnapshotTo(dir).ok());
+  }
+
+  Explain3DService b;
+  ASSERT_TRUE(b.RestoreFrom(dir).ok());
+  DatabaseHandle h1 = b.RegisterDatabase("left", data.db1);
+  DatabaseHandle h2 = b.RegisterDatabase("right", data.db2);
+  TicketPtr before = b.Submit(MakeServiceRequest(data, h1, h2));
+  ASSERT_TRUE(before->Wait().ok());
+  const ArtifactsPtr mapped = before->Wait().value().artifacts();
+  ASSERT_NE(mapped->storage_owner, nullptr);
+  ExpectPipelineResultsBitIdentical(before->Wait().value(), cold);
+
+  ASSERT_TRUE(b.SnapshotTo(dir).ok());  // renamed over the mapped file
+  TicketPtr after = b.Submit(MakeServiceRequest(data, h1, h2));
+  ASSERT_TRUE(after->Wait().ok());
+  EXPECT_EQ(after->Wait().value().artifacts().get(), mapped.get());
+  ExpectPipelineResultsBitIdentical(after->Wait().value(), cold);
+  EXPECT_EQ(b.Stats().cold_misses, 0u);
+
+  Explain3DService c;
+  ASSERT_TRUE(c.RestoreFrom(dir).ok());
+  auto entries = c.cache().Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_NE(entries.front().second->storage_owner, mapped->storage_owner);
+  ExpectArtifactsBitIdentical(*mapped, *entries.front().second);
+  h1 = c.RegisterDatabase("left", data.db1);
+  h2 = c.RegisterDatabase("right", data.db2);
+  TicketPtr fresh = c.Submit(MakeServiceRequest(data, h1, h2));
+  ASSERT_TRUE(fresh->Wait().ok());
+  EXPECT_EQ(c.Stats().warm_hits, 1u);
+  ExpectPipelineResultsBitIdentical(fresh->Wait().value(), cold);
 }
 
 }  // namespace

@@ -1,77 +1,50 @@
-// explain3d_store: inspect, verify, and garbage-collect an on-disk
-// artifact store (storage/artifact_store.h).
+// explain3d_store: inspect and verify the snapshot file a service wrote
+// with SnapshotTo (storage/snapshot_file.h).
 //
-//   explain3d_store inspect <dir>   manifest summary + per-file segments
-//   explain3d_store verify  <dir>   full checksum pass; exit 1 on damage
-//   explain3d_store gc      <dir>   delete files no manifest names
+//   explain3d_store inspect <dir>   the entries and incumbent records,
+//                                   least recently used first
+//   explain3d_store verify  <dir>   full checksum + decode pass; exit 1
+//                                   on damage
 //
-// Exit codes: 0 ok, 1 store damaged (corruption/IO error), 2 usage.
+// Both read the whole file the way RestoreFrom does, so a snapshot that
+// passes here restores. Exit codes: 0 ok, 1 snapshot damaged
+// (corruption/IO error), 2 usage.
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "storage/artifact_store.h"
 #include "storage/io.h"
-#include "storage/snapshot.h"
+#include "storage/snapshot_file.h"
 
 namespace {
 
 using explain3d::Result;
-using explain3d::Status;
-using explain3d::storage::ArtifactStore;
-using explain3d::storage::StoreInfo;
+using explain3d::storage::SnapshotContents;
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "explain3d_store: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-int Inspect(ArtifactStore& store) {
-  Result<StoreInfo> info = store.Info();
-  if (!info.ok()) return Fail(info.status());
-  std::printf("store:      %s\n", store.dir().c_str());
-  std::printf("commit_seq: %" PRIu64 "\n", info.value().commit_seq);
-  std::printf("files:      %zu committed, %zu orphan\n",
-              info.value().files.size(), info.value().orphan_files);
-  for (const auto& entry : info.value().files) {
-    std::printf("  %-28s %10" PRIu64 " B  checksum %016" PRIx64 "\n",
-                entry.file.c_str(), entry.size, entry.checksum);
-    if (entry.file.rfind("art-", 0) != 0) continue;
-    // Per-snapshot segment map — which columnar arrays the file carries.
-    auto path = explain3d::storage::JoinPath(store.dir(), entry.file);
-    auto bytes = explain3d::storage::ReadFileBytes(path);
-    if (!bytes.ok()) return Fail(bytes.status());
-    auto segments = explain3d::storage::ListSegments(
-        bytes.value().data(), bytes.value().size());
-    if (!segments.ok()) return Fail(segments.status());
-    for (const auto& [id, length] : segments.value()) {
-      std::printf("    segment %2u  %10" PRIu64 " B\n", id, length);
-    }
+int Inspect(const std::string& dir, const SnapshotContents& image) {
+  std::printf("snapshot: %s\n",
+              explain3d::storage::JoinPath(
+                  dir, explain3d::storage::kSnapshotFileName)
+                  .c_str());
+  std::printf("entries:  %zu artifact block(s), %zu incumbent record(s), "
+              "least recently used first\n",
+              image.entries.size(), image.incumbents.size());
+  for (const auto& entry : image.entries) {
+    std::printf("  block  ~%zu B in memory  |t1|=%zu |t2|=%zu "
+                "candidates=%zu  %s\n",
+                explain3d::ApproxBytes(*entry.artifacts),
+                entry.artifacts->t1.size(), entry.artifacts->t2.size(),
+                entry.artifacts->candidates.size(), entry.key.c_str());
+  }
+  for (const auto& [key, inc] : image.incumbents) {
+    std::printf("  record %4zu unit(s)  objective %.17g  %s\n",
+                inc.units.size(), inc.objective, key.c_str());
   }
   return 0;
 }
 
-int Verify(ArtifactStore& store) {
-  Status status = store.VerifyAll();
-  if (!status.ok()) return Fail(status);
-  std::printf("ok: every committed file passes size, checksum, and "
-              "structure checks\n");
-  return 0;
-}
-
-int Gc(ArtifactStore& store) {
-  Result<size_t> removed = store.GarbageCollect();
-  if (!removed.ok()) return Fail(removed.status());
-  std::printf("removed %zu orphan file(s)\n", removed.value());
-  return 0;
-}
-
 int Usage() {
-  std::fprintf(stderr,
-               "usage: explain3d_store <inspect|verify|gc> <store-dir>\n");
+  std::fprintf(stderr, "usage: explain3d_store <inspect|verify> <dir>\n");
   return 2;
 }
 
@@ -80,12 +53,19 @@ int Usage() {
 int main(int argc, char** argv) {
   if (argc != 3) return Usage();
   const std::string command = argv[1];
-  if (command != "inspect" && command != "verify" && command != "gc") {
-    return Usage();
+  if (command != "inspect" && command != "verify") return Usage();
+  const std::string dir = argv[2];
+  Result<SnapshotContents> image =
+      explain3d::storage::ReadSnapshotFile(dir);
+  if (!image.ok()) {
+    std::fprintf(stderr, "explain3d_store: %s\n",
+                 image.status().ToString().c_str());
+    return 1;
   }
-  Result<ArtifactStore> store = ArtifactStore::Open(argv[2]);
-  if (!store.ok()) return Fail(store.status());
-  if (command == "inspect") return Inspect(store.value());
-  if (command == "verify") return Verify(store.value());
-  return Gc(store.value());
+  if (command == "inspect") return Inspect(dir, image.value());
+  std::printf("ok: %zu artifact block(s) and %zu incumbent record(s) pass "
+              "every checksum and structure check\n",
+              image.value().entries.size(),
+              image.value().incumbents.size());
+  return 0;
 }
