@@ -11,9 +11,11 @@
 //      the exact solve, returns that answer marked degraded() INSIDE the
 //      deadline, with DegradationInfo accounting for the budget slices
 //      and bounding the optimality gap;
-//   3. retry: an injected transient fault (deterministic schedule from
-//      common/fault.h) recovered by RetryPolicy backoff;
-//   4. the service health state surfacing the pressure.
+//   3. an injected transient fault (deterministic schedule from
+//      common/fault.h) resolving its request kUnavailable on the one
+//      attempt a claimed request gets — the caller decides whether to
+//      resubmit;
+//   4. the service health state surfacing the fault.
 
 #include <cstdio>
 
@@ -122,25 +124,21 @@ int main() {
                 r.value().core().explanations.log_probability, d.objective);
   }
 
-  // --- 3. retry: a deterministic injected fault, recovered -----------------
+  // --- 3. a deterministic injected fault, on the one attempt ---------------
   if (kFaultInjectionEnabled) {
-    // Fire the worker-claim probe exactly on its first hit; the second
-    // attempt (after one backoff) runs clean.
+    // Fire the worker-claim probe exactly on its first hit: the claimed
+    // request runs once, so it resolves with the transient status.
     FaultInjector::Instance().Configure("seed=1; service.claim=once0").ok();
-    ExplanationRequest req = MakeRequest(data, h1, h2);
-    req.retry.max_attempts = 3;
-    TicketPtr ticket = service.Submit(req);
+    TicketPtr ticket = service.Submit(MakeRequest(data, h1, h2));
     const Result<PipelineResult>& r = ticket->Wait();
     FaultInjector::Instance().Disable();
-    ServiceStats stats = service.Stats();
-    std::printf("injected transient fault: %s after %zu retr%s\n",
-                r.ok() ? "recovered" : r.status().ToString().c_str(),
-                stats.retries, stats.retries == 1 ? "y" : "ies");
+    std::printf("injected transient fault: %s\n",
+                StatusCodeName(r.status().code()));
     std::printf("health after the transient: %s\n",
-                ServiceHealthName(stats.health));
+                ServiceHealthName(service.Stats().health));
   } else {
     std::printf("fault injection compiled out "
-                "(EXPLAIN3D_FAULT_INJECTION=OFF); skipping retry demo\n");
+                "(EXPLAIN3D_FAULT_INJECTION=OFF); skipping fault demo\n");
   }
 
   ServiceStats stats = service.Stats();

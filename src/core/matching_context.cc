@@ -200,8 +200,9 @@ void MatchingContext::EvictOverBudgetLocked() {
   }
   // Incumbent records are byte-accounted too; if the artifact side alone
   // cannot fit the budget, drop LRU incumbents (cheap to rebuild — one
-  // warm exact solve re-records them).
-  while (bytes_ > budget_bytes_ && !incumbents_.empty()) {
+  // warm exact solve re-records them). The newest record stays, as the
+  // newest block does, so that block's solves still warm-start.
+  while (bytes_ > budget_bytes_ && incumbents_.size() > 1) {
     auto it = incumbents_.find(inc_lru_.back());
     bytes_ -= it->second.bytes;
     incumbents_.erase(it);

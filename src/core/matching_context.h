@@ -97,9 +97,10 @@ size_t ApproxBytes(const Stage1Artifacts& art);
 /// inserting past the budget evicts least-recently used artifact entries
 /// until the cache fits again — except the most recently touched entry,
 /// which always stays so a single oversized block still serves its warm
-/// path — then LRU incumbent records if still over. Eviction releases
-/// only the cache's reference: in-flight calls and returned results keep
-/// theirs.
+/// path — then LRU incumbent records if still over, again never the
+/// most recent one, so that block's solves still warm-start. Eviction
+/// releases only the cache's reference: in-flight calls and returned
+/// results keep theirs.
 class MatchingContext {
  public:
   using ArtifactsPtr = explain3d::ArtifactsPtr;
@@ -209,8 +210,8 @@ class MatchingContext {
   static constexpr size_t kMaxIncumbentEntries = 4096;
 
   /// Evicts LRU-tail entries until bytes_ fits the budget: artifact
-  /// entries first (never the last remaining one), then incumbent
-  /// records if still over. Caller holds mu_.
+  /// entries first, then incumbent records if still over — never the
+  /// last remaining one of either. Caller holds mu_.
   void EvictOverBudgetLocked();
 
   /// Inserts an artifact entry; caller holds mu_, has verified the key

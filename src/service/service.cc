@@ -1,11 +1,9 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/fault.h"
-#include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "storage/content_hash.h"
@@ -551,16 +549,6 @@ void Explain3DService::EnqueueLocked(const TicketPtr& ticket) {
 }
 
 TicketPtr Explain3DService::PopLocked() {
-  // A client at its inflight cap is invisible to the scheduler — unless
-  // its front ticket is already terminal dead weight (cancelled while
-  // queued), which never runs and is always safe to reap.
-  auto eligible = [&](const std::string& client, const TicketPtr& front) {
-    if (front->done()) return true;
-    if (options_.per_client_max_inflight == 0) return true;
-    auto it = client_inflight_.find(client);
-    return it == client_inflight_.end() ||
-           it->second < options_.per_client_max_inflight;
-  };
   using BandIt = std::map<int, Band, std::greater<int>>::iterator;
   using ClientIt = std::map<std::string, std::deque<TicketPtr>>::iterator;
   auto pop_from = [&](BandIt band_it, ClientIt client_it) {
@@ -584,40 +572,30 @@ TicketPtr Explain3DService::PopLocked() {
   };
   if (options_.starvation_every > 0 &&
       (claims_ + 1) % options_.starvation_every == 0) {
-    // Anti-starvation claim: take the globally oldest eligible request.
-    // Client fronts are their queues' oldest (FIFO per client), so the
-    // minimum seq_ across eligible fronts is the global minimum.
-    BandIt best_band = bands_.end();
-    ClientIt best_client;
+    // Anti-starvation claim: take the globally oldest request. Client
+    // fronts are their queues' oldest (FIFO per client), so the minimum
+    // seq_ across fronts is the global minimum.
+    BandIt best_band = bands_.begin();
+    ClientIt best_client = best_band->second.clients.begin();
     for (auto b = bands_.begin(); b != bands_.end(); ++b) {
       for (auto c = b->second.clients.begin(); c != b->second.clients.end();
            ++c) {
-        if (!eligible(c->first, c->second.front())) continue;
-        if (best_band == bands_.end() ||
-            c->second.front()->seq_ < best_client->second.front()->seq_) {
+        if (c->second.front()->seq_ < best_client->second.front()->seq_) {
           best_band = b;
           best_client = c;
         }
       }
     }
-    if (best_band != bands_.end()) return pop_from(best_band, best_client);
-    return nullptr;
+    return pop_from(best_band, best_client);
   }
-  // Normal claim: highest band first; within it, round-robin across the
-  // clients starting strictly after the one served last (wrapping), so
-  // every client takes turns regardless of how deep anyone's queue is.
-  for (auto b = bands_.begin(); b != bands_.end(); ++b) {
-    Band& band = b->second;
-    auto c = band.clients.upper_bound(band.last_client);
-    for (size_t i = 0, n = band.clients.size(); i < n; ++i) {
-      if (c == band.clients.end()) c = band.clients.begin();
-      if (eligible(c->first, c->second.front())) return pop_from(b, c);
-      ++c;
-    }
-  }
-  // Every queued ticket's owner is at its inflight cap: the caller
-  // parks; a finishing run of a capped client re-pops.
-  return nullptr;
+  // Normal claim: highest band first; within it, the first client
+  // strictly after the one served last (wrapping), so every client takes
+  // turns regardless of how deep anyone's queue is.
+  BandIt band = bands_.begin();
+  auto& clients = band->second.clients;
+  ClientIt client = clients.upper_bound(band->second.last_client);
+  if (client == clients.end()) client = clients.begin();
+  return pop_from(band, client);
 }
 
 void Explain3DService::RunnerLoop() {
@@ -631,37 +609,11 @@ void Explain3DService::RunnerLoop() {
         return;
       }
       ticket = PopLocked();
-      if (ticket == nullptr) {
-        // Everything queued belongs to clients at their inflight cap.
-        // Park this runner: each capped client still has a worker whose
-        // finishing run loops back here and re-pops (and re-spawns
-        // siblings below), so progress is guaranteed.
-        --active_runners_;
-        idle_cv_.notify_all();
-        return;
-      }
       ++running_requests_;
-      ++client_inflight_[ticket->client_id_];
     }
     Process(ticket);
-    bool respawn = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --running_requests_;
-      auto inflight = client_inflight_.find(ticket->client_id_);
-      if (inflight != client_inflight_.end() && --inflight->second == 0) {
-        client_inflight_.erase(inflight);
-      }
-      // This client's inflight count just dropped: work that parked a
-      // sibling runner (quota-blocked pops) may be claimable again, so
-      // restore the runner population to match the backlog.
-      if (!shutdown_ && queued_tickets_ > 0 &&
-          active_runners_ < max_concurrency_) {
-        ++active_runners_;
-        respawn = true;
-      }
-    }
-    if (respawn) SharedPool().Submit([this] { RunnerLoop(); });
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_requests_;
   }
 }
 
@@ -714,12 +666,16 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   Result<ResolvedDb> db1 = ResolveHandle(req.db1);
   Result<ResolvedDb> db2 = db1.ok() ? ResolveHandle(req.db2)
                                     : Result<ResolvedDb>(db1.status());
-  bool transient_seen = false;
   Result<PipelineResult> outcome =
       !db1.ok() ? Result<PipelineResult>(db1.status())
       : !db2.ok()
           ? Result<PipelineResult>(db2.status())
           : [&]() -> Result<PipelineResult> {
+              // The claim probe models a worker dying between claiming a
+              // request and finishing it. The request runs once: its
+              // transient kUnavailable finishes the ticket like any other
+              // failure, and the caller decides whether to resubmit.
+              E3D_RETURN_IF_ERROR(FAULT_POINT("service.claim"));
               PipelineInput input;
               input.db1 = db1.value().db.get();
               input.db2 = db2.value().db.get();
@@ -742,66 +698,7 @@ void Explain3DService::Process(const TicketPtr& ticket) {
               // them.
               input.db_identity = db1.value().content_tag + "|" +
                                   db2.value().content_tag;
-              // Retry loop (see RetryPolicy): re-run TRANSIENT failures
-              // (kUnavailable only — injected faults, dropped cache
-              // inserts) up to max_attempts times with interruptible,
-              // deterministically-jittered exponential backoff. Retried
-              // reruns rebuild from the same inputs, so a success on any
-              // attempt is bit-identical to a first-attempt success.
-              const size_t max_attempts =
-                  std::max<size_t>(size_t{1}, req.retry.max_attempts);
-              for (size_t attempt = 0;; ++attempt) {
-                // The claim probe models a worker dying between claiming
-                // a request and finishing it — the classic
-                // at-least-once-delivery transient.
-                Status claim_fault = FAULT_POINT("service.claim");
-                Result<PipelineResult> r =
-                    claim_fault.ok()
-                        ? RunExplain3D(input, req.config)
-                        : Result<PipelineResult>(std::move(claim_fault));
-                if (r.ok() ||
-                    r.status().code() != StatusCode::kUnavailable) {
-                  return r;
-                }
-                transient_seen = true;
-                // Never retry past the policy, and NEVER once the
-                // ticket's token fired: a user cancel or an expired
-                // deadline wins immediately.
-                if (attempt + 1 >= max_attempts ||
-                    !CheckCancel(cancel).ok()) {
-                  return r;
-                }
-                double backoff = std::min(
-                    req.retry.initial_backoff_seconds *
-                        std::pow(req.retry.backoff_multiplier,
-                                 static_cast<double>(attempt)),
-                    req.retry.max_backoff_seconds);
-                // Deterministic jitter in [1-j, 1+j], hashed from
-                // (ticket seq, attempt): replayed schedules back off
-                // identically.
-                backoff *= 1.0 + req.retry.jitter_fraction *
-                                     (2.0 * CounterUniform(ticket->seq_,
-                                                           attempt) -
-                                      1.0);
-                // Never start a backoff the deadline cannot absorb: when
-                // the sleep plus the estimated re-run exceed what's left
-                // of the request's budget, the retry is predictably
-                // doomed — fail fast with the transient status instead
-                // of sleeping straight into kDeadlineExceeded (the
-                // caller can tell retryable kUnavailable apart from a
-                // blown deadline). RemainingSeconds is +inf without a
-                // deadline, and the estimate is 0 before any completion,
-                // so the clamp only ever tightens.
-                if (backoff + EstimateRunSeconds(ticket->admission_key_) >
-                    cancel->RemainingSeconds()) {
-                  return r;
-                }
-                ledger_->Apply([](ServiceCounts& c) { ++c.retries; });
-                // Sleep on the token's event, not the clock: a cancel or
-                // deadline mid-backoff aborts the wait immediately.
-                cancel->fired_event().WaitForNotificationWithTimeout(
-                    std::max(0.0, backoff));
-              }
+              return RunExplain3D(input, req.config);
             }();
 
   // Record the latencies before finishing: a caller woken by Wait() must
@@ -815,10 +712,13 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   // with those would collapse the estimate toward zero and silently
   // disable admission control.
   bool ran_pipeline = db1.ok() && db2.ok();
-  // Health signal: did this claimed run observe any transient failure
-  // (injected fault, retried attempt)? Fed for pipeline runs only —
-  // stale-handle rejections say nothing about service pressure.
-  if (ran_pipeline) NoteRunTransient(transient_seen);
+  // Health signal: did this claimed run resolve kUnavailable (an
+  // injected fault)? Fed for pipeline runs only — stale-handle
+  // rejections say nothing about service pressure.
+  if (ran_pipeline) {
+    NoteRunTransient(!outcome.ok() &&
+                     outcome.status().code() == StatusCode::kUnavailable);
+  }
   if (outcome.ok()) {
     RecordLatencies(ticket->admission_key_, ticket->priority_, queue_s,
                     outcome.value().stage1_seconds(),
@@ -1071,11 +971,6 @@ void Explain3DService::AddKeyedRunLocked(const std::string& key,
   std::nth_element(sorted.begin(), mid, sorted.end());
   runs.p50 = *mid;
   runs.last_use = ++keyed_clock_;
-}
-
-double Explain3DService::EstimateRunSeconds(const std::string& admission_key) {
-  double keyed = KeyedRunP50(admission_key);
-  return keyed > 0 ? keyed : run_p50_.load(std::memory_order_relaxed);
 }
 
 // --- persistence tier -------------------------------------------------------

@@ -103,28 +103,6 @@ struct DatabaseHandle {
   bool operator!=(const DatabaseHandle& o) const { return !(*this == o); }
 };
 
-/// \brief Bounded, jittered-exponential-backoff retry of TRANSIENT
-/// failures, per request.
-///
-/// A worker re-runs the pipeline only when the attempt failed with
-/// kUnavailable — the code reserved for transient conditions (injected
-/// faults from common/fault.h, dropped cache inserts, interrupted-by-
-/// fault solves). Permanent failures (parse errors, invalid handles) are
-/// never retried, and NEITHER is any attempt after the ticket's token
-/// fired: a user cancel or an expired deadline always wins immediately.
-/// Backoff sleeps are interruptible by the token's fired event. Jitter
-/// is deterministic — hashed from (ticket sequence, attempt) with the
-/// counter RNG — so a replayed schedule backs off identically.
-struct RetryPolicy {
-  /// Total attempts, including the first; 1 (default) disables retry.
-  size_t max_attempts = 1;
-  double initial_backoff_seconds = 0.01;  ///< before the first retry
-  double backoff_multiplier = 2.0;        ///< per additional retry
-  double max_backoff_seconds = 0.5;       ///< cap on a single backoff
-  /// Each backoff is scaled by a factor uniform in [1-j, 1+j].
-  double jitter_fraction = 0.2;
-};
-
 /// \brief One explanation request: the handle-based analogue of
 /// PipelineInput plus the per-request solver config and deadline.
 struct ExplanationRequest {
@@ -146,9 +124,6 @@ struct ExplanationRequest {
   /// points — down to solver node granularity — resolving
   /// kDeadlineExceeded within milliseconds of expiry.
   double deadline_seconds = 0;
-  /// Transient-failure retry policy (default: no retry). See RetryPolicy
-  /// for what qualifies as transient.
-  RetryPolicy retry;
 };
 
 /// \brief Per-submit scheduling knobs — how to run a request, as opposed
@@ -167,10 +142,9 @@ struct SubmitOptions {
   /// client. Within a priority band clients are drained round-robin
   /// (unit-quantum DRR — every request weighs one), so a flooding tenant
   /// delays another client's next request by at most one in-flight run;
-  /// ServiceOptions::per_client_max_inflight / per_client_max_queued
-  /// bound a single client's footprint (exceeding the queue quota
-  /// resolves the ticket kResourceExhausted). Scheduling only — never
-  /// affects results.
+  /// ServiceOptions::per_client_max_queued bounds a single client's
+  /// queued footprint (exceeding it resolves the ticket
+  /// kResourceExhausted). Scheduling only — never affects results.
   std::string client_id;
 };
 
@@ -214,7 +188,10 @@ struct ServiceCounts {
   /// classify by the shared result.
   size_t completed_exact = 0;
   size_t completed_degraded = 0;
-  size_t retries = 0;  ///< transient-failure re-attempts run
+  /// Always 0: a claimed request runs once, and a kUnavailable outcome
+  /// finishes it as a failed completion. Kept so existing readers of the
+  /// counter (the benchmark's per-layer service.retries) still build.
+  size_t retries = 0;
   /// Strict requests whose config was auto-switched to the portfolio
   /// at Submit because the service was kOverloaded (see
   /// ServiceOptions::auto_fallback_on_overload).
@@ -353,17 +330,18 @@ class RequestTicket {
 using TicketPtr = std::shared_ptr<RequestTicket>;
 
 /// \brief Coarse service condition, computed from queue depth, recent
-/// admission rejections, and recent transient failures (injected faults
-/// / retries). Exposed through ServiceStats::health and consulted by
-/// Submit under ServiceOptions::auto_fallback_on_overload.
+/// admission rejections, and recent transient failures (runs resolved
+/// kUnavailable by an injected fault). Exposed through
+/// ServiceStats::health and consulted by Submit under
+/// ServiceOptions::auto_fallback_on_overload.
 ///
 /// With W = max_concurrency:
 ///   kOverloaded: queue depth >= 4 × W, or at least half of the last
 ///                kHealthWindow admission decisions were rejections
 ///                (once >= 8 decisions are in the window);
 ///   kDegraded:   queue depth >= 2 × W, or any of the last
-///                kHealthWindow claimed runs hit a transient failure
-///                (injected fault, retried attempt);
+///                kHealthWindow claimed runs resolved kUnavailable
+///                (an injected fault);
 ///   kHealthy:    everything else.
 /// The machine is memoryless by design — states are recomputed from the
 /// sliding windows on every read, so recovery is automatic when the
@@ -457,18 +435,13 @@ struct ServiceOptions {
   /// (requests ahead of it in submit order) × k claims. 0 = strict
   /// priority (starvation possible under sustained high-priority load).
   size_t starvation_every = 8;
-  /// Per-client cap on requests RUNNING concurrently (by
-  /// SubmitOptions::client_id); 0 = unlimited. A client at its cap is
-  /// skipped by the scheduler — its queued work waits while other
-  /// clients' requests claim the free workers — never rejected for it.
-  size_t per_client_max_inflight = 0;
-  /// Per-client cap on requests sitting QUEUED (claimed and coalesced
-  /// ones don't count); 0 = unlimited. A submit past the cap resolves
-  /// kResourceExhausted immediately (ServiceStats::quota_rejected) —
-  /// the flooding client is told to back off while everyone else's
-  /// traffic is untouched. Tickets cancelled while queued count against
-  /// their client until a worker reaps them (errs toward rejecting the
-  /// flooder sooner).
+  /// Per-client cap (by SubmitOptions::client_id) on requests sitting
+  /// QUEUED (claimed and coalesced ones don't count); 0 = unlimited. A
+  /// submit past the cap resolves kResourceExhausted immediately
+  /// (ServiceStats::quota_rejected) — the flooding client is told to
+  /// back off while everyone else's traffic is untouched. Tickets
+  /// cancelled while queued count against their client until a worker
+  /// reaps them (errs toward rejecting the flooder sooner).
   size_t per_client_max_queued = 0;
   /// Coalesce concurrent identical requests onto one computation: a
   /// Submit whose RequestResultKey (pipeline.h — database contents,
@@ -640,7 +613,8 @@ class Explain3DService {
 
   /// Worker body: drain the queue until empty or shutdown.
   void RunnerLoop();
-  /// Runs one claimed ticket end to end (including its retry loop).
+  /// Runs one claimed ticket end to end, once: the service.claim fault
+  /// probe, then RunExplain3D.
   void Process(const TicketPtr& ticket);
   /// Pushes an admitted ticket into its band's per-client queue and
   /// bumps the queue accounting. Caller holds mu_.
@@ -666,10 +640,8 @@ class Explain3DService {
   void NoteRunTransient(bool transient);
   /// Pops the next ticket per the scheduling policy: highest band
   /// first, round-robin across that band's clients (unit-quantum DRR),
-  /// FIFO within a client, anti-starvation every k-th claim, skipping
-  /// clients at their inflight quota. Returns nullptr when every queued
-  /// ticket's owner is at quota (the caller parks; a finishing run of a
-  /// capped client re-pops). Caller holds mu_; queue must be non-empty.
+  /// FIFO within a client, anti-starvation every k-th claim. Caller
+  /// holds mu_; queue must be non-empty.
   TicketPtr PopLocked();
   /// Resolves a handle to a keep-alive database reference + content tag.
   Result<ResolvedDb> ResolveHandle(const DatabaseHandle& handle) const;
@@ -691,10 +663,6 @@ class Explain3DService {
   /// Feeds one run sample into `key`'s ring, LRU-evicting past
   /// kKeyedCapacity. Caller holds stats_mu_; empty keys are ignored.
   void AddKeyedRunLocked(const std::string& key, double run_s);
-  /// The admission run-time estimate for a request: its keyed p50 when
-  /// warm, else the fleet-wide p50 (0 before any completion). Takes
-  /// stats_mu_ via KeyedRunP50 — never call under mu_.
-  double EstimateRunSeconds(const std::string& admission_key);
 
   const ServiceOptions options_;
   const size_t max_concurrency_;
@@ -723,11 +691,10 @@ class Explain3DService {
   mutable std::mutex mu_;
   std::map<int, Band, std::greater<int>> bands_;
   size_t queued_tickets_ = 0;  ///< total tickets across bands_
-  /// Per-client gauges behind the quotas: tickets queued (decremented
-  /// at pop — cancelled dead weight counts until reaped) and claimed
-  /// runs in flight. Entries erased at zero.
+  /// Per-client gauge behind the queue quota: tickets queued
+  /// (decremented at pop — cancelled dead weight counts until reaped).
+  /// Entries erased at zero.
   std::unordered_map<std::string, size_t> client_queued_;
-  std::unordered_map<std::string, size_t> client_inflight_;
   /// Live coalescing groups by RequestResultKey (guarded by mu_): a
   /// group exists exactly while its leader is queued or running, so an
   /// identical oracle-free Submit in that window attaches as a
@@ -743,7 +710,7 @@ class Explain3DService {
 
   // Health windows (guarded by mu_): the most recent kHealthWindow
   // admission decisions (1 = rejected) and claimed-run transient flags
-  // (1 = the run hit at least one kUnavailable attempt). Queue depths of
+  // (1 = the run resolved kUnavailable). Queue depths of
   // kDegradeQueueFactor / kOverloadQueueFactor × max_concurrency move
   // health to kDegraded / kOverloaded (see ServiceHealth).
   static constexpr size_t kHealthWindow = 32;

@@ -571,10 +571,10 @@ TEST(ServiceStressTest, WarmStartAndPortfolioSweepStaysBitIdentical) {
 // --- fault-injection sweep --------------------------------------------------
 // The same service hammered while the injector randomly kills stage-1
 // builds, cache inserts, MILP nodes, worker claims, and cache
-// retirements. Requests carry a 2-attempt retry policy, so most injected
-// transients heal invisibly; the ones that don't must fail with exactly
-// kUnavailable. Every surviving result is still bit-identical to the
-// serial baseline — faults and retries never perturb WHAT is computed.
+// retirements. A claimed request runs once, so an injected transient
+// must fail its request with exactly kUnavailable. Every surviving
+// result is still bit-identical to the serial baseline — faults never
+// perturb WHAT is computed.
 
 // One fault round at `seed`: arms a seeded schedule, drives concurrent
 // submits + re-registrations, then checks the terminal states and the
@@ -621,11 +621,8 @@ void RunFaultRound(uint64_t seed, size_t ops_per_thread,
                                      ? std::make_pair(live_a1, live_a2)
                                      : std::make_pair(live_b1, live_b2);
             }
-            ExplanationRequest req = MakeRequest(v, h1, h2);
-            req.retry.max_attempts = 2;
-            req.retry.initial_backoff_seconds = 0.002;
-            tracked[t].push_back(
-                {service.Submit(std::move(req)), vi, false, false});
+            tracked[t].push_back({service.Submit(MakeRequest(v, h1, h2)),
+                                  vi, false, false});
           } else {
             // Re-registration drives the registry.retire probe (a fired
             // probe skips the eager cache sweep — which must be benign).
@@ -650,14 +647,15 @@ void RunFaultRound(uint64_t seed, size_t ops_per_thread,
         switch (r->status().code()) {
           case StatusCode::kOk:
             ++ok_results;
-            // Faults + retries healed invisibly: the result is still the
-            // baseline, bit for bit (and never silently degraded).
+            // Faults elsewhere never touch a surviving result: it is
+            // still the baseline, bit for bit (and never silently
+            // degraded).
             EXPECT_FALSE(r->value().degraded()) << "fault seed " << seed;
             ExpectResultsBitIdentical(r->value(),
                                       world.baselines[tt.variant], seed);
             break;
           case StatusCode::kUnavailable:
-            // An injected transient survived both attempts.
+            // An injected transient hit the request's one run.
             ++transient_failures;
             break;
           case StatusCode::kInvalidArgument:
@@ -692,11 +690,13 @@ void RunFaultRound(uint64_t seed, size_t ops_per_thread,
               stats.completed_exact + stats.completed_degraded)
         << "fault seed " << seed;
     EXPECT_EQ(stats.completed_degraded, 0u) << "fault seed " << seed;
-    // Retries only ever happen on transients; a retry with zero injected
-    // fires would mean a phantom kUnavailable somewhere.
-    if (stats.retries > 0) {
+    // Only an injected fault produces kUnavailable here; one with zero
+    // injected fires would be a phantom transient somewhere. Nothing is
+    // ever re-run.
+    if (transient_failures > 0) {
       EXPECT_GT(stats.fault_fires, 0u) << "fault seed " << seed;
     }
+    EXPECT_EQ(stats.retries, 0u) << "fault seed " << seed;
     EXPECT_EQ(stats.queue_depth, 0u) << "fault seed " << seed;
   }
   FaultInjector::Instance().Disable();
@@ -725,12 +725,11 @@ TEST(ServiceStressTest, InjectedFaultSweepKeepsEveryInvariant) {
 // --- coalescing + quota leg (multi-tenant serving) ---------------------------
 // The hammer pointed at the request-coalescing layer and the per-client
 // quotas: four tenants flood IDENTICAL oracle-free requests over two
-// dataset pairs, racing cancels, doomed and generous deadlines, tight
-// per-client queue quotas, and the inflight cap. Shared results must
-// stay bit-identical to the serial baseline, per-ticket terminal
-// independence must hold (a follower's cancel/deadline resolves just
-// that follower), and the EXTENDED counter balance — including
-// quota_rejected — must stay exact.
+// dataset pairs, racing cancels, doomed and generous deadlines, and
+// tight per-client queue quotas. Shared results must stay bit-identical
+// to the serial baseline, per-ticket terminal independence must hold (a
+// follower's cancel/deadline resolves just that follower), and the
+// EXTENDED counter balance — including quota_rejected — must stay exact.
 
 void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
                            size_t* coalesced_out) {
@@ -739,7 +738,6 @@ void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
   options.max_concurrency = size_t{1} << (seed % 3);  // 1, 2, 4
   options.starvation_every = 4;
   options.per_client_max_queued = 2;
-  options.per_client_max_inflight = 1;
   // Determinism leg: results are checked against strict baselines, so
   // never auto-flip a backlogged request to the greedy fallback.
   options.auto_fallback_on_overload = false;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/rng.h"
 #include "core/matching_context.h"
 #include "core/pipeline.h"
 #include "datagen/synthetic.h"
@@ -403,6 +404,141 @@ TEST(SnapshotCorruptionTest, BitFlipsInAFileNeverYieldADifferentImage) {
     EXPECT_EQ(read.value().incumbents[0].second.objective, -1.0);
   }
   EXPECT_GT(caught, positions.size() * 9 / 10);
+}
+
+TEST(SnapshotCorruptionTest, HostileRowTablesAndFootersStayInTheFile) {
+  // A bit flip in the row table or footer always breaks the footer
+  // checksum, so the bounds checks behind it never see a hostile value.
+  // Each case here rewrites footer fields and rows with boundary and
+  // random values, then recomputes the checksum, so the read reaches
+  // those checks: the table must fit the file, no blob may extend past
+  // the table, and every artifact blob must be aligned. A read either
+  // fails kCorruption or returns only blocks bit-identical to one of the
+  // file's own. Case c draws from CounterHash(kSeed, c * 16 + salt), so
+  // a failing case replays from the index in its trace.
+  SyntheticDataset data1 = MakeData(25), data2 = MakeData(26);
+  auto [key1, art1] = BuildArtifacts(data1);
+  auto [key2, art2] = BuildArtifacts(data2);
+  const std::string dir = FreshDir("hostile-file");
+  ASSERT_TRUE(storage::WriteSnapshotFile(
+                  dir, {{key1, art1}, {key2, art2}},
+                  {{"inc", MakeIncumbents(7, -1.0)}})
+                  .ok());
+  const std::vector<uint8_t> bytes = ReadBytes(SnapshotPath(dir));
+  const uint64_t size = bytes.size();
+  auto get64 = [](const std::vector<uint8_t>& b, uint64_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, b.data() + at, 8);
+    return v;
+  };
+  // Footer: table_offset u64 | blob_count u32 | version u32 | checksum
+  // u64 | magic; each row is {offset u64, length u64}.
+  const uint64_t footer = size - 32;
+  const uint64_t table = get64(bytes, footer);
+  const uint64_t rows = (footer - table) / 16;
+  ASSERT_EQ(rows, 3u);  // two artifact blobs, then the incumbent blob
+
+  // Boundary values: every real row field, the edges of the blob region
+  // and the file, and the extremes of a u64.
+  std::vector<uint64_t> edges = {
+      0,      1,    63,           64,           table - 1, table, table + 1,
+      footer, size, ~uint64_t{0}, ~uint64_t{0} - 63};
+  for (uint64_t r = 0; r < rows; ++r) {
+    edges.push_back(get64(bytes, table + 16 * r));
+    edges.push_back(get64(bytes, table + 16 * r + 8));
+  }
+  const std::vector<uint32_t> counts = {0, 1, 2, 3, 7, ~uint32_t{0}};
+
+  constexpr uint64_t kSeed = 0x5eed;
+  constexpr size_t kCases = 300;
+  size_t read_ok = 0, rejected = 0;
+  for (size_t c = 0; c < kCases; ++c) {
+    auto draw = [&](uint64_t salt) {
+      return CounterHash(kSeed, c * 16 + salt);
+    };
+    // A boundary value half the time, else a random one near the file.
+    auto value = [&](uint64_t salt) -> uint64_t {
+      uint64_t d = draw(salt);
+      return d % 2 == 0 ? edges[(d >> 1) % edges.size()]
+                        : (d >> 1) % (size + 64);
+    };
+    std::vector<uint8_t> hostile = bytes;
+    uint64_t table_offset = table;
+    uint32_t blob_count = 2, version = 1;
+    const uint64_t kind = draw(0) % 4;
+    if (kind == 0) {
+      // One row: its offset, its length, or both — or another row's
+      // whole {offset, length}, which points at a real blob.
+      const uint64_t at = table + 16 * (draw(1) % rows);
+      const uint64_t how = draw(2) % 4;
+      if (how == 3) {
+        std::memcpy(hostile.data() + at,
+                    bytes.data() + table + 16 * (draw(3) % rows), 16);
+      } else {
+        uint64_t offset = how == 1 ? get64(bytes, at) : value(4);
+        uint64_t length = how == 0 ? get64(bytes, at + 8) : value(5);
+        std::memcpy(hostile.data() + at, &offset, 8);
+        std::memcpy(hostile.data() + at + 8, &length, 8);
+      }
+    } else if (kind == 1) {
+      // The footer's fields, each kept or replaced.
+      if (draw(1) % 2 == 0) table_offset = value(2);
+      if (draw(3) % 2 == 0) blob_count = counts[draw(4) % counts.size()];
+      if (draw(5) % 2 == 0) version = static_cast<uint32_t>(value(6));
+    } else if (kind == 2) {
+      // Move the table start by whole rows and keep it fitting the file:
+      // later starts drop leading rows, earlier ones read the incumbent
+      // blob's tail as rows.
+      constexpr int64_t kShifts[] = {-3, -2, -1, 1, 2};
+      const int64_t shift = kShifts[draw(1) % 5];
+      table_offset = table + static_cast<uint64_t>(16 * shift);
+      blob_count = static_cast<uint32_t>(2 - shift);
+    } else {
+      // Every row rewritten at once.
+      for (uint64_t r = 0; r < rows; ++r) {
+        uint64_t offset = value(1 + 2 * r), length = value(2 + 2 * r);
+        std::memcpy(hostile.data() + table + 16 * r, &offset, 8);
+        std::memcpy(hostile.data() + table + 16 * r + 8, &length, 8);
+      }
+    }
+    std::memcpy(hostile.data() + footer, &table_offset, 8);
+    std::memcpy(hostile.data() + footer + 8, &blob_count, 4);
+    std::memcpy(hostile.data() + footer + 12, &version, 4);
+    if (table_offset <= size - 16) {
+      const uint64_t sum = Checksum64(hostile.data() + table_offset,
+                                      size - 16 - table_offset);
+      std::memcpy(hostile.data() + size - 16, &sum, 8);
+    }
+    SCOPED_TRACE(testing::Message()
+                 << "case " << c << " kind " << kind << " table_offset "
+                 << table_offset << " blob_count " << blob_count
+                 << " version " << version);
+    ReplaceFile(SnapshotPath(dir), hostile, hostile.size());
+    Result<SnapshotContents> read = storage::ReadSnapshotFile(dir);
+    if (!read.ok()) {
+      EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+          << read.status().ToString();
+      ++rejected;
+      continue;
+    }
+    ++read_ok;
+    for (const DecodedArtifacts& d : read.value().entries) {
+      if (d.key == key1) {
+        ExpectArtifactsBitIdentical(*art1, *d.artifacts);
+      } else if (d.key == key2) {
+        ExpectArtifactsBitIdentical(*art2, *d.artifacts);
+      } else {
+        ADD_FAILURE() << "read a block the file never held";
+      }
+    }
+    ASSERT_EQ(read.value().incumbents.size(), 1u);
+    EXPECT_EQ(read.value().incumbents[0].first, "inc");
+    EXPECT_EQ(read.value().incumbents[0].second.objective, -1.0);
+  }
+  // Both outcomes occur, or the schedule tested nothing: rows that still
+  // point at real blobs read back, and the rest are rejected.
+  EXPECT_GT(read_ok, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(IncumbentCodecTest, RoundTripAndCorruption) {
