@@ -245,25 +245,61 @@ BENCHMARK(BM_CandidateScoringLevenshteinFloor)
     ->Args({2000, 70})
     ->Args({2000, 90});
 
-// Parallel InternedRelation construction (args: n, threads): phase 1
-// tokenizes per tuple on the pool, phase 2 interns serially, so the
-// dictionary stays deterministic while the tokenization scales.
+// InternedRelation construction (arg: n): one streaming pass that
+// tokenizes each key cell in place and interns into a flat dictionary.
 void BM_InternedRelationBuild(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  size_t threads = static_cast<size_t>(state.range(1));
   CanonicalRelation rel = RandomRelation(n, 43);
   for (auto _ : state) {
     TokenDictionary dict;
-    InternedRelation interned(rel, &dict, /*with_bags=*/true, threads);
+    InternedRelation interned(rel, &dict, /*with_bags=*/true);
     benchmark::DoNotOptimize(interned.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_InternedRelationBuild)
-    ->Args({4000, 1})
-    ->Args({4000, 2})
-    ->Args({4000, 4});
+BENCHMARK(BM_InternedRelationBuild)->Arg(4000);
+
+// Canonicalization of a SUM provenance relation shaped like the
+// synthetic generator's (id, match_attr phrase, val) rows (args: n,
+// repeat): n / repeat distinct phrase keys, each appearing `repeat`
+// times, interleaved, so repeat 1 measures pure group creation and
+// repeat 4 the hit path.
+void BM_Canonicalize(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  size_t repeat = static_cast<size_t>(state.range(1));
+  size_t distinct = n / repeat;
+  Rng rng(47);
+  std::vector<std::string> phrases(distinct);
+  for (std::string& phrase : phrases) {
+    for (int w = 0; w < 3; ++w) {
+      phrase += "w" + std::to_string(rng.Index(5000)) + " ";
+    }
+  }
+  Schema schema;
+  schema.AddColumn(Column("id", DataType::kInt64));
+  schema.AddColumn(Column("match_attr", DataType::kString));
+  schema.AddColumn(Column("val", DataType::kInt64));
+  ProvenanceRelation prov;
+  prov.table = Table("Table", schema);
+  prov.agg = AggFunc::kSum;
+  for (size_t i = 0; i < n; ++i) {
+    int64_t val = rng.UniformInt(1, 10);
+    prov.table.AppendUnchecked({Value(static_cast<int64_t>(i)),
+                                Value(phrases[i % distinct]), Value(val)});
+    prov.impact.push_back(static_cast<double>(val));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Canonicalize(prov, {"match_attr"}).value());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Canonicalize)
+    ->Args({2000, 1})
+    ->Args({2000, 4})
+    ->Args({12000, 1})
+    ->Args({12000, 4});
 
 // --- blocking + mapping generation ----------------------------------------
 
@@ -286,8 +322,8 @@ void BM_BlockingParallel(benchmark::State& state) {
   CanonicalRelation t1 = RandomRelation(n, 1);
   CanonicalRelation t2 = RandomRelation(n, 2);
   TokenDictionary dict;
-  InternedRelation i1(t1, &dict, /*with_bags=*/false, threads);
-  InternedRelation i2(t2, &dict, /*with_bags=*/false, threads);
+  InternedRelation i1(t1, &dict, /*with_bags=*/false);
+  InternedRelation i2(t2, &dict, /*with_bags=*/false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(GenerateCandidates(i1, i2, threads));
   }

@@ -5,9 +5,10 @@
 // actually reach. This framework plants named FAULT_POINT(site) probes at
 // the spots where production systems actually break — stage-1 build
 // steps, cache insert/evict, registry retirement, MILP node expansion,
-// the service worker claim — and lets a test (or an operator, via the
-// EXPLAIN3D_FAULT_SPEC environment variable) arm a schedule that makes
-// some of those probes fire Status::Unavailable.
+// the service worker claim, a slow portfolio unwind — and lets a test
+// (or an operator, via the EXPLAIN3D_FAULT_SPEC environment variable)
+// arm a schedule that makes some of those probes fire
+// Status::Unavailable (or, for decision-only sites, degrade behavior).
 //
 // Determinism: every firing decision is a pure function of
 // (spec seed, site name, that site's hit index) through the counter-RNG

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -129,8 +130,13 @@ int Value::Compare(const Value& other) const {
         int64_t b = std::get<int64_t>(other.repr_);
         return a < b ? -1 : (a > b ? 1 : 0);
       }
+      // NaN equals NaN and sorts after every number, so Compare stays a
+      // total order (a raw `<` would call NaN equal to every number).
       double a = AsDouble();
       double b = other.AsDouble();
+      bool a_nan = std::isnan(a);
+      bool b_nan = std::isnan(b);
+      if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
       return a < b ? -1 : (a > b ? 1 : 0);
     }
     default: {
@@ -152,7 +158,10 @@ size_t Value::Hash() const {
     }
     case 2: {
       double d = std::get<double>(repr_);
-      // Integral doubles must hash like the equal int64.
+      // Equal values hash alike: integral doubles like the equal int64,
+      // -0.0 like 0.0, and every NaN payload like every other.
+      if (d == 0.0) d = 0.0;
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       return std::hash<double>{}(d) ^ 0x51ed270b;
     }
     default:

@@ -61,7 +61,8 @@ class Value {
   std::string ToDisplayString() const;
 
   /// Total ordering: NULL < numbers (by numeric value) < strings (lexical).
-  /// Cross-type numeric comparison (int vs double) compares numerically.
+  /// Cross-type numeric comparison (int vs double) compares numerically;
+  /// -0.0 equals 0.0, and NaN equals NaN and sorts after every number.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& o) const { return Compare(o) == 0; }
@@ -72,7 +73,7 @@ class Value {
   bool operator>=(const Value& o) const { return Compare(o) >= 0; }
 
   /// Stable hash consistent with operator== (ints and equal-valued doubles
-  /// hash alike).
+  /// hash alike, as do ±0.0 and all NaNs).
   size_t Hash() const;
 
  private:

@@ -60,11 +60,11 @@ size_t CanonicalBytes(const CanonicalRelation& t) {
 }
 
 size_t DictionaryBytes(const TokenDictionary& dict) {
-  size_t b = sizeof(TokenDictionary);
+  // The token list and the flat index table, plus each token's spilled
+  // characters (stored once: the index holds ids, not strings).
+  size_t b = sizeof(TokenDictionary) + dict.flat_bytes();
   for (uint32_t id = 0; id < dict.size(); ++id) {
-    // Each token is stored twice (id map key + reverse vector) plus the
-    // map node.
-    b += 2 * StringBytes(dict.token(id)) + kNodeOverhead;
+    b += SpilledBytes(dict.token(id));
   }
   return b;
 }
@@ -123,8 +123,10 @@ Result<MatchingContext::ArtifactsPtr> MatchingContext::GetOrBuild(
   size_t built_bytes = ApproxBytes(*built);
   // Fault probe (common/fault.h): a fired cache.insert drops the freshly
   // built block and fails the call — the transient-failure shape of an
-  // insert race or allocation failure. A retry simply rebuilds.
+  // insert race or allocation failure. Nothing is cached, so the next
+  // request for this key builds again.
   E3D_RETURN_IF_ERROR(FAULT_POINT("cache.insert"));
+  Retired retired;  // declared first: released after the lock
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);
   if (it != cache_.end()) {
@@ -133,11 +135,12 @@ Result<MatchingContext::ArtifactsPtr> MatchingContext::GetOrBuild(
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return it->second.art;
   }
-  return InsertLocked(key, std::move(built), built_bytes);
+  return InsertLocked(key, std::move(built), built_bytes, &retired);
 }
 
 MatchingContext::ArtifactsPtr MatchingContext::InsertLocked(
-    const std::string& key, ArtifactsPtr art, size_t art_bytes) {
+    const std::string& key, ArtifactsPtr art, size_t art_bytes,
+    Retired* retired) {
   Entry entry;
   entry.bytes = EntryCharge(key, art_bytes);
   entry.art = std::move(art);
@@ -146,16 +149,17 @@ MatchingContext::ArtifactsPtr MatchingContext::InsertLocked(
   bytes_ += entry.bytes;
   ArtifactsPtr result = entry.art;
   cache_.emplace(key, std::move(entry));
-  EvictOverBudgetLocked();
+  EvictOverBudgetLocked(retired);
   return result;
 }
 
 bool MatchingContext::Put(const std::string& key, ArtifactsPtr art) {
   if (art == nullptr) return false;
   size_t art_bytes = ApproxBytes(*art);  // O(data); outside the lock
+  Retired retired;  // declared first: released after the lock
   std::lock_guard<std::mutex> lock(mu_);
   if (cache_.count(key) > 0) return false;
-  InsertLocked(key, std::move(art), art_bytes);
+  InsertLocked(key, std::move(art), art_bytes, &retired);
   return true;
 }
 
@@ -181,7 +185,7 @@ MatchingContext::IncumbentEntries() const {
   return out;
 }
 
-void MatchingContext::EvictOverBudgetLocked() {
+void MatchingContext::EvictOverBudgetLocked(Retired* retired) {
   if (budget_bytes_ == 0) return;
   // Fault probe: abandons this eviction round. Benign by design — the
   // cache stays over budget until the next insert retries the walk; the
@@ -194,6 +198,7 @@ void MatchingContext::EvictOverBudgetLocked() {
     const std::string& victim = lru_.back();
     auto it = cache_.find(victim);
     bytes_ -= it->second.bytes;
+    retired->push_back(std::move(it->second.art));
     cache_.erase(it);
     lru_.pop_back();
     ++evictions_;
@@ -205,28 +210,36 @@ void MatchingContext::EvictOverBudgetLocked() {
   while (bytes_ > budget_bytes_ && incumbents_.size() > 1) {
     auto it = incumbents_.find(inc_lru_.back());
     bytes_ -= it->second.bytes;
+    retired->push_back(std::move(it->second.inc));
     incumbents_.erase(it);
     inc_lru_.pop_back();
   }
 }
 
 void MatchingContext::Clear() {
+  // Swapped out under the lock and destroyed after it is released, so
+  // tearing down the blocks never stalls a concurrent lookup.
+  std::unordered_map<std::string, Entry> cache;
+  std::unordered_map<std::string, IncumbentEntry> incumbents;
+  std::list<std::string> lru, inc_lru;
   std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  lru_.clear();
+  cache.swap(cache_);
+  incumbents.swap(incumbents_);
+  lru.swap(lru_);
+  inc_lru.swap(inc_lru_);
   bytes_ = 0;
-  incumbents_.clear();
-  inc_lru_.clear();
 }
 
 size_t MatchingContext::EraseIf(
     const std::function<bool(const std::string&)>& pred) {
+  Retired retired;  // declared first: released after the lock
   std::lock_guard<std::mutex> lock(mu_);
   size_t erased = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (pred(*it)) {
       auto entry = cache_.find(*it);
       bytes_ -= entry->second.bytes;
+      retired.push_back(std::move(entry->second.art));
       cache_.erase(entry);
       it = lru_.erase(it);
       ++erased;
@@ -240,6 +253,7 @@ size_t MatchingContext::EraseIf(
     if (pred(*it)) {
       auto entry = incumbents_.find(*it);
       bytes_ -= entry->second.bytes;
+      retired.push_back(std::move(entry->second.inc));
       incumbents_.erase(entry);
       it = inc_lru_.erase(it);
       ++erased;
@@ -269,12 +283,14 @@ void MatchingContext::PutIncumbents(const std::string& key,
   size_t charge = IncumbentCharge(key, inc);
   auto shared =
       std::make_shared<const SolverIncumbents>(std::move(inc));
+  Retired retired;  // declared first: released after the lock
   std::lock_guard<std::mutex> lock(mu_);
   auto it = incumbents_.find(key);
   if (it != incumbents_.end()) {
     bytes_ -= it->second.bytes;
     bytes_ += charge;
     it->second.bytes = charge;
+    retired.push_back(std::move(it->second.inc));
     it->second.inc = std::move(shared);
     inc_lru_.splice(inc_lru_.begin(), inc_lru_, it->second.lru_it);
     return;
@@ -289,10 +305,11 @@ void MatchingContext::PutIncumbents(const std::string& key,
   while (incumbents_.size() > kMaxIncumbentEntries) {
     auto victim = incumbents_.find(inc_lru_.back());
     bytes_ -= victim->second.bytes;
+    retired.push_back(std::move(victim->second.inc));
     incumbents_.erase(victim);
     inc_lru_.pop_back();
   }
-  EvictOverBudgetLocked();
+  EvictOverBudgetLocked(&retired);
 }
 
 size_t MatchingContext::incumbent_entries() const {
@@ -311,9 +328,10 @@ size_t MatchingContext::incumbent_misses() const {
 }
 
 void MatchingContext::set_budget_bytes(size_t budget_bytes) {
+  Retired retired;  // declared first: released after the lock
   std::lock_guard<std::mutex> lock(mu_);
   budget_bytes_ = budget_bytes;
-  EvictOverBudgetLocked();
+  EvictOverBudgetLocked(&retired);
 }
 
 size_t MatchingContext::budget_bytes() const {

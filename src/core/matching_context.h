@@ -209,15 +209,23 @@ class MatchingContext {
   /// doubles per unit), so a flat entry cap replaces byte accounting.
   static constexpr size_t kMaxIncumbentEntries = 4096;
 
+  /// References the cache dropped while holding mu_. Every caller
+  /// declares one BEFORE its lock_guard, so the blocks (and incumbent
+  /// records) it held are destroyed after mu_ is released: tearing down
+  /// the last reference to a large block takes milliseconds, and no
+  /// lookup should wait for that.
+  using Retired = std::vector<std::shared_ptr<const void>>;
+
   /// Evicts LRU-tail entries until bytes_ fits the budget: artifact
   /// entries first, then incumbent records if still over — never the
-  /// last remaining one of either. Caller holds mu_.
-  void EvictOverBudgetLocked();
+  /// last remaining one of either. Caller holds mu_; the victims'
+  /// references move into `retired`.
+  void EvictOverBudgetLocked(Retired* retired);
 
   /// Inserts an artifact entry; caller holds mu_, has verified the key
   /// is absent, and precomputed ApproxBytes outside the lock.
   ArtifactsPtr InsertLocked(const std::string& key, ArtifactsPtr art,
-                            size_t art_bytes);
+                            size_t art_bytes, Retired* retired);
 
   mutable std::mutex mu_;
   std::list<std::string> lru_;  ///< keys, most recently used first

@@ -1,12 +1,14 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -130,9 +132,9 @@ Result<std::shared_ptr<Stage1Artifacts>> BuildStage1Artifacts(
   E3D_RETURN_IF_ERROR(FAULT_POINT("stage1.intern"));
   bool need_bags = NeedsKeyBags(art->t1, art->t2);
   art->i1 = std::make_unique<InternedRelation>(art->t1, &art->dict,
-                                               need_bags, num_threads);
+                                               need_bags);
   art->i2 = std::make_unique<InternedRelation>(art->t2, &art->dict,
-                                               need_bags, num_threads);
+                                               need_bags);
 
   E3D_RETURN_IF_ERROR(CheckCancel(input.cancel));
   E3D_RETURN_IF_ERROR(FAULT_POINT("stage1.block"));
@@ -265,9 +267,8 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
         SelectionFromEvidence(out.initial_mapping_, greedy.evidence);
 
     // The exact leg gets nearly the whole budget — only a thin reserve
-    // is shaved off so its child deadline fires strictly BEFORE the
-    // caller's, keeping "budget blown" (degrade to the ready greedy
-    // answer) distinguishable from "caller gone" (fail the call).
+    // is shaved off so its child deadline normally fires BEFORE the
+    // caller's and the greedy answer is returned inside the budget.
     Result<Explain3DResult> exact = Status::DeadlineExceeded(
         "stage-2 budget consumed before the exact solve started");
     double incumbent_bound = std::numeric_limits<double>::quiet_NaN();
@@ -294,10 +295,23 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
       // greedy floor sits provably below the optimum).
       out.core_ = std::move(exact).value();
     } else {
-      // Degrade ONLY on the child budget's kDeadlineExceeded with a live
-      // parent: a fired parent (the user's cancel or end-to-end deadline)
-      // or any other failure propagates.
-      E3D_RETURN_IF_ERROR(CheckCancel(input.cancel));
+      // Fault probe: stalls the exact leg's unwinding until the caller's
+      // own deadline has passed — the slow-unwind race the reserve
+      // cannot always cover on a loaded machine.
+      if (FAULT_FIRED("portfolio.unwind") && input.cancel != nullptr &&
+          std::isfinite(budget)) {
+        while (input.cancel->RemainingSeconds() > 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      // Degrade on a deadline — the child budget's, or the caller's own
+      // when unwinding outlasted the reserve: the greedy answer is
+      // ready either way. A caller's cancel, or any other failure,
+      // propagates.
+      Status caller = CheckCancel(input.cancel);
+      if (!caller.ok() && caller.code() != StatusCode::kDeadlineExceeded) {
+        return caller;
+      }
       if (exact.status().code() != StatusCode::kDeadlineExceeded) {
         return exact.status();
       }

@@ -178,8 +178,8 @@ CandidatePairs GenerateCandidates(const CanonicalRelation& t1,
                                   const CancelToken* cancel) {
   TokenDictionary dict;
   // Blocking never reads the whole-key bags.
-  InternedRelation i1(t1, &dict, /*with_bags=*/false, num_threads);
-  InternedRelation i2(t2, &dict, /*with_bags=*/false, num_threads);
+  InternedRelation i1(t1, &dict, /*with_bags=*/false);
+  InternedRelation i2(t2, &dict, /*with_bags=*/false);
   return GenerateCandidates(i1, i2, num_threads, cancel);
 }
 

@@ -320,8 +320,8 @@ Result<TupleMapping> GenerateInitialMapping(const CanonicalRelation& t1,
   size_t threads = ResolveThreads(opts.num_threads);
   bool need_bags = NeedsKeyBags(t1, t2);
   TokenDictionary dict;
-  InternedRelation interned1(t1, &dict, need_bags, threads);
-  InternedRelation interned2(t2, &dict, need_bags, threads);
+  InternedRelation interned1(t1, &dict, need_bags);
+  InternedRelation interned2(t2, &dict, need_bags);
 
   CandidatePairs pairs =
       opts.use_blocking

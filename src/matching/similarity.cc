@@ -1,6 +1,7 @@
 #include "matching/similarity.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -112,16 +113,24 @@ bool CoerceNumeric(const Value& v, double* out) {
     return true;
   }
   if (v.type() != DataType::kString) return false;
-  std::string trimmed = Trim(v.AsString());
-  if (trimmed.empty()) return false;
+  // Trim in place (Trim's whitespace rule, no copy): the parse reads the
+  // [begin, end) slice of the stored string.
+  const std::string& text = v.AsString();
+  const char* begin = text.data();
+  const char* end = text.data() + text.size();
+  while (begin < end && std::isspace(static_cast<unsigned char>(*begin))) {
+    ++begin;
+  }
+  while (end > begin && std::isspace(static_cast<unsigned char>(end[-1]))) {
+    --end;
+  }
+  if (begin == end) return false;
   // from_chars, not strtod: strtod honors LC_NUMERIC, so an embedding
   // application's setlocale() would change which strings coerce (and
   // therefore the mapping). Reject partial parses ("5x") and non-finite
   // spellings ("inf", "nan"): only text that IS a number compares
   // numerically.
   double d = 0;
-  const char* begin = trimmed.data();
-  const char* end = trimmed.data() + trimmed.size();
 #if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
   auto [ptr, ec] = std::from_chars(begin, end, d);
   if (ec != std::errc{} || ptr != end || !std::isfinite(d)) return false;

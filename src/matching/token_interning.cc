@@ -1,28 +1,21 @@
 #include "matching/token_interning.h"
 
 #include <algorithm>
+#include <cctype>
+#include <functional>
+#include <string_view>
 
 #include "common/logging.h"
-#include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace explain3d {
 
-uint32_t TokenDictionary::Intern(const std::string& token) {
-  auto it = ids_.find(token);
-  if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(tokens_.size());
-  ids_.emplace(token, id);
-  tokens_.push_back(token);
-  return id;
-}
-
-uint32_t TokenDictionary::Find(const std::string& token) const {
-  auto it = ids_.find(token);
-  return it == ids_.end() ? kMissing : it->second;
-}
-
 namespace {
+
+// 32-bit tag of a token's bytes: the slot's probe start and its filter.
+uint32_t TokenTag(const char* data, size_t size) {
+  size_t h = std::hash<std::string_view>{}(std::string_view(data, size));
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
 
 void SortUnique(TokenIdSet* ids) {
   std::sort(ids->begin(), ids->end());
@@ -61,17 +54,82 @@ void AppendSorted(const TokenIdSet& src, std::vector<uint32_t>* ids,
   starts->push_back(static_cast<uint32_t>(ids->size()));
 }
 
+// Appends the ids of TokenizeWords(text), in token order, without
+// building the token vector: the same character rules fill one reusable
+// lowered buffer, and each token is interned as it ends.
+void InternWords(const std::string& text, TokenDictionary* dict,
+                 std::string* lowered, TokenIdSet* out) {
+  lowered->clear();
+  for (char ch : text) {
+    unsigned char c = static_cast<unsigned char>(ch);
+    if (std::isalnum(c)) {
+      lowered->push_back(static_cast<char>(std::tolower(c)));
+    } else if (!lowered->empty()) {
+      out->push_back(dict->Intern(lowered->data(), lowered->size()));
+      lowered->clear();
+    }
+  }
+  if (!lowered->empty()) {
+    out->push_back(dict->Intern(lowered->data(), lowered->size()));
+  }
+}
+
 }  // namespace
+
+size_t TokenDictionary::Probe(uint32_t tag, const char* data,
+                              size_t size) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t pos = tag & mask;; pos = (pos + 1) & mask) {
+    const Slot& slot = slots_[pos];
+    if (slot.id == kMissing) return pos;
+    if (slot.tag == tag &&
+        std::string_view(tokens_[slot.id]) == std::string_view(data, size)) {
+      return pos;
+    }
+  }
+}
+
+uint32_t TokenDictionary::Intern(const char* data, size_t size) {
+  const uint32_t tag = TokenTag(data, size);
+  size_t pos = 0;
+  if (!slots_.empty()) {
+    pos = Probe(tag, data, size);
+    if (slots_[pos].id != kMissing) return slots_[pos].id;
+  }
+  if (2 * (tokens_.size() + 1) > slots_.size()) {
+    // Double at half load; the tags re-place every slot.
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kMissing) continue;
+      size_t p = slot.tag & mask;
+      while (slots_[p].id != kMissing) p = (p + 1) & mask;
+      slots_[p] = slot;
+    }
+    pos = Probe(tag, data, size);
+  }
+  const uint32_t id = static_cast<uint32_t>(tokens_.size());
+  tokens_.emplace_back(data, size);
+  slots_[pos] = Slot{tag, id};
+  return id;
+}
+
+uint32_t TokenDictionary::Find(const std::string& token) const {
+  if (slots_.empty()) return kMissing;
+  return slots_[Probe(TokenTag(token.data(), token.size()), token.data(),
+                      token.size())]
+      .id;
+}
 
 InternedRelation::InternedRelation(const CanonicalRelation& rel,
                                    TokenDictionary* dict, bool with_bags,
-                                   size_t num_threads)
+                                   size_t /*num_threads*/)
     : rel_(&rel), dict_(dict), with_bags_(with_bags) {
   const size_t n = rel.tuples.size();
 
   // Cell prefix first: key arities are known without tokenizing, so the
-  // per-cell columns can be sized (and, on the parallel path, written
-  // into disjoint slots) up front.
+  // per-cell columns can be sized up front.
   own_tuple_cell_starts_.resize(n + 1);
   own_tuple_cell_starts_[0] = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -90,73 +148,14 @@ InternedRelation::InternedRelation(const CanonicalRelation& rel,
   own_bag_starts_.reserve(n + 1);
   own_bag_starts_.push_back(0);
 
+  // One streaming pass: classify, tokenize, and intern in tuple /
+  // attribute / token order, so dictionary ids are first-seen ids.
   TokenIdSet scratch, union_scratch, bag_scratch;
-
-  if (num_threads <= 1 || n <= 1) {
-    // Serial: tokenize, classify, and intern in one streaming pass — the
-    // two-phase scheme below produces the identical arrays but
-    // materializes every token string for the whole relation at once, a
-    // transient memory cost only worth paying when the tokenize phase
-    // actually fans out.
-    for (size_t i = 0; i < n; ++i) {
-      const Row& key = rel.tuples[i].key;
-      union_scratch.clear();
-      bag_scratch.clear();
-      size_t cell = own_tuple_cell_starts_[i];
-      for (size_t a = 0; a < key.size(); ++a, ++cell) {
-        const Value& v = key[a];
-        CellClass c = Classify(v);
-        own_cell_kinds_[cell] = c.kind;
-        own_cell_coercible_[cell] = c.coercible;
-        own_cell_numeric_[cell] = c.num;
-        if (v.type() == DataType::kString) {
-          scratch.clear();
-          for (const std::string& tok : TokenizeWords(v.AsString())) {
-            scratch.push_back(dict->Intern(tok));
-          }
-          SortUnique(&scratch);
-          own_token_ids_.insert(own_token_ids_.end(), scratch.begin(), scratch.end());
-          union_scratch.insert(union_scratch.end(), scratch.begin(),
-                               scratch.end());
-          // A string cell's display text IS its raw text, so the bag
-          // tokens are exactly the attr tokens just interned (the bag is
-          // sort-uniqued below anyway) — reuse the ids instead of
-          // tokenizing and re-interning the same text.
-          if (with_bags) {
-            bag_scratch.insert(bag_scratch.end(), scratch.begin(),
-                               scratch.end());
-          }
-        }
-        own_cell_starts_.push_back(static_cast<uint32_t>(own_token_ids_.size()));
-        if (with_bags && !v.is_null() && v.type() != DataType::kString) {
-          for (const std::string& tok : TokenizeWords(v.ToDisplayString())) {
-            bag_scratch.push_back(dict->Intern(tok));
-          }
-        }
-      }
-      SortUnique(&union_scratch);
-      AppendSorted(union_scratch, &own_key_union_ids_, &own_key_union_starts_);
-      SortUnique(&bag_scratch);
-      AppendSorted(bag_scratch, &own_bag_ids_, &own_bag_starts_);
-    }
-    SealOwned();
-    return;
-  }
-
-  // Phase 1 (parallel): tokenize and classify every tuple key — the
-  // per-value scans, string splits, and CoerceNumeric parses are the
-  // expensive part and are independent per tuple. Classification writes
-  // straight into the pre-sized cell columns (disjoint slots).
-  struct RawTokens {
-    std::vector<std::vector<std::string>> attr;  // string attributes
-    std::vector<std::vector<std::string>> bag;   // display-text tokens
-  };
-  std::vector<RawTokens> raw(n);
-  ParallelFor(num_threads, n, [&](size_t i) {
+  std::string lowered;
+  for (size_t i = 0; i < n; ++i) {
     const Row& key = rel.tuples[i].key;
-    RawTokens& r = raw[i];
-    r.attr.resize(key.size());
-    if (with_bags) r.bag.resize(key.size());
+    union_scratch.clear();
+    bag_scratch.clear();
     size_t cell = own_tuple_cell_starts_[i];
     for (size_t a = 0; a < key.size(); ++a, ++cell) {
       const Value& v = key[a];
@@ -165,40 +164,25 @@ InternedRelation::InternedRelation(const CanonicalRelation& rel,
       own_cell_coercible_[cell] = c.coercible;
       own_cell_numeric_[cell] = c.num;
       if (v.type() == DataType::kString) {
-        // Bag tokens for a string cell are its attr tokens (display text
-        // == raw text); phase 2 reuses the interned ids directly.
-        r.attr[a] = TokenizeWords(v.AsString());
-      } else if (with_bags && !v.is_null()) {
-        r.bag[a] = TokenizeWords(v.ToDisplayString());
-      }
-    }
-  });
-
-  // Phase 2 (serial): intern in tuple/attribute order — exactly the order
-  // a serial build uses, so first-seen ids are deterministic and the
-  // dictionary is bit-identical for any thread count.
-  for (size_t i = 0; i < n; ++i) {
-    const RawTokens& r = raw[i];
-    union_scratch.clear();
-    bag_scratch.clear();
-    for (size_t a = 0; a < r.attr.size(); ++a) {
-      scratch.clear();
-      for (const std::string& tok : r.attr[a]) {
-        scratch.push_back(dict->Intern(tok));
-      }
-      SortUnique(&scratch);
-      own_token_ids_.insert(own_token_ids_.end(), scratch.begin(), scratch.end());
-      union_scratch.insert(union_scratch.end(), scratch.begin(),
-                           scratch.end());
-      own_cell_starts_.push_back(static_cast<uint32_t>(own_token_ids_.size()));
-      if (with_bags) {
-        if (!r.attr[a].empty()) {
+        scratch.clear();
+        InternWords(v.AsString(), dict, &lowered, &scratch);
+        SortUnique(&scratch);
+        own_token_ids_.insert(own_token_ids_.end(), scratch.begin(),
+                              scratch.end());
+        union_scratch.insert(union_scratch.end(), scratch.begin(),
+                             scratch.end());
+        // A string cell's display text IS its raw text, so the bag
+        // tokens are exactly the attr tokens just interned (the bag is
+        // sort-uniqued below anyway) — reuse the ids instead of
+        // tokenizing and re-interning the same text.
+        if (with_bags) {
           bag_scratch.insert(bag_scratch.end(), scratch.begin(),
                              scratch.end());
         }
-        for (const std::string& tok : r.bag[a]) {
-          bag_scratch.push_back(dict->Intern(tok));
-        }
+      }
+      own_cell_starts_.push_back(static_cast<uint32_t>(own_token_ids_.size()));
+      if (with_bags && !v.is_null() && v.type() != DataType::kString) {
+        InternWords(v.ToDisplayString(), dict, &lowered, &bag_scratch);
       }
     }
     SortUnique(&union_scratch);

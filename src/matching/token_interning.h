@@ -22,6 +22,11 @@
 // or ids do not align. Jaccard over id sets equals Jaccard over the string
 // sets exactly (set cardinalities are independent of element encoding), so
 // the interned path is bit-identical to the string path.
+//
+// Construction is one serial pass over the cells. A string cell is
+// tokenized in place under TokenizeWords' character rules, and each token
+// is looked up in the dictionary's flat hash index straight from a reused
+// buffer, so a token that is already known costs no allocation.
 
 #ifndef EXPLAIN3D_MATCHING_TOKEN_INTERNING_H_
 #define EXPLAIN3D_MATCHING_TOKEN_INTERNING_H_
@@ -29,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -40,13 +44,23 @@
 namespace explain3d {
 
 /// Interns tokens to dense ids in first-seen order.
+///
+/// The index is a flat open-addressing table of (hash tag, id) slots over
+/// the id-ordered token list: a lookup hashes the bytes once, compares
+/// 32-bit tags along a linear probe, and touches a stored token only on
+/// a tag match. The table doubles at half load, re-placing slots from
+/// their tags without rehashing any token.
 class TokenDictionary {
  public:
   /// Sentinel returned by Find for unknown tokens.
   static constexpr uint32_t kMissing = 0xFFFFFFFFu;
 
   /// Returns the id of `token`, inserting it if new.
-  uint32_t Intern(const std::string& token);
+  uint32_t Intern(const std::string& token) {
+    return Intern(token.data(), token.size());
+  }
+  /// Same, for the `size` bytes at `data` (no std::string needed).
+  uint32_t Intern(const char* data, size_t size);
 
   /// Returns the id of `token`, or kMissing when it was never interned.
   uint32_t Find(const std::string& token) const;
@@ -57,8 +71,25 @@ class TokenDictionary {
   /// Reverse lookup; id must be < size().
   const std::string& token(uint32_t id) const { return tokens_[id]; }
 
+  /// Heap bytes of the token list and the index table, excluding the
+  /// tokens' own spilled characters (cache accounting,
+  /// core/matching_context.cc).
+  size_t flat_bytes() const {
+    return tokens_.capacity() * sizeof(std::string) +
+           slots_.capacity() * sizeof(Slot);
+  }
+
  private:
-  std::unordered_map<std::string, uint32_t> ids_;
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t id = kMissing;  ///< kMissing marks an empty slot
+  };
+
+  /// The slot holding the token with this tag and bytes, or the empty
+  /// slot where it would go.
+  size_t Probe(uint32_t tag, const char* data, size_t size) const;
+
+  std::vector<Slot> slots_;  ///< power-of-two size; empty until first use
   std::vector<std::string> tokens_;
 };
 
@@ -96,11 +127,12 @@ struct InternedColumns {
 /// skip that second tokenization pass (and keep numeric display tokens
 /// out of the dictionary).
 ///
-/// `num_threads` parallelizes the construction in two phases: per-tuple
-/// tokenization and cell classification run on the shared pool, then the
-/// tokens are interned serially in tuple order — TokenDictionary ids keep
-/// the exact first-seen order of a serial build, so the dictionary (and
-/// every downstream posting list) is bit-identical for any thread count.
+/// The build is one serial streaming pass: each string cell is tokenized
+/// in place (TokenizeWords' character rules, into one reusable lowered
+/// buffer) and its tokens are interned as they end, so TokenDictionary
+/// ids follow the first-seen order of tuples, cells and tokens.
+/// `num_threads` is unused; it remains for source compatibility with
+/// callers that still pass it.
 class InternedRelation {
  public:
   /// Cached classification of one key cell (DataType folded to what the

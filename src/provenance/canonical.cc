@@ -1,19 +1,10 @@
 #include "provenance/canonical.h"
 
-#include <map>
+#include <cstdint>
+
+#include "common/hash.h"
 
 namespace explain3d {
-
-namespace {
-bool RowLess(const Row& a, const Row& b) {
-  size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c < 0;
-  }
-  return a.size() < b.size();
-}
-}  // namespace
 
 std::string CanonicalTuple::KeyString() const {
   std::string s;
@@ -66,25 +57,61 @@ Result<CanonicalRelation> Canonicalize(
     return out;
   }
 
-  // Group by key, sum impacts. std::map keeps the output deterministic.
-  std::map<Row, size_t, decltype(&RowLess)> index(&RowLess);
+  // Group by key, sum impacts. Groups are pushed into out.tuples in
+  // first-appearance order and each group's impacts are summed in row
+  // order, which keeps the output deterministic. The index is a flat
+  // open-addressing table of group positions (+1; 0 is empty), probed
+  // by the combined Value::Hash of the key cells and confirmed with
+  // Value::Compare, the equality Value::Hash agrees with.
+  out.tuples.reserve(prov.size());
+  std::vector<size_t> group_hash;
+  std::vector<uint32_t> slots(16, 0);
+  size_t mask = slots.size() - 1;
   for (size_t i = 0; i < prov.size(); ++i) {
-    Row key;
-    key.reserve(key_cols.size());
-    for (size_t c : key_cols) key.push_back(prov.table.row(i)[c]);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      CanonicalTuple t;
-      t.key = key;
-      t.impact = prov.impact[i];
-      t.prov_rows = {i};
-      index.emplace(std::move(key), out.tuples.size());
-      out.tuples.push_back(std::move(t));
-    } else {
-      CanonicalTuple& t = out.tuples[it->second];
+    const Row& row = prov.table.row(i);
+    size_t h = 0x2545f4914f6cdd1dULL;
+    for (size_t c : key_cols) h = HashCombine(h, row[c].Hash());
+    auto same_key = [&](size_t g) {
+      if (group_hash[g] != h) return false;
+      const Row& key = out.tuples[g].key;
+      for (size_t k = 0; k < key_cols.size(); ++k) {
+        if (key[k].Compare(row[key_cols[k]]) != 0) return false;
+      }
+      return true;
+    };
+    size_t pos = h & mask;
+    while (slots[pos] != 0 && !same_key(slots[pos] - 1)) {
+      pos = (pos + 1) & mask;
+    }
+    if (slots[pos] != 0) {
+      CanonicalTuple& t = out.tuples[slots[pos] - 1];
       t.impact += prov.impact[i];
       t.prov_rows.push_back(i);
+      continue;
     }
+    CanonicalTuple& t = out.tuples.emplace_back();
+    t.key.reserve(key_cols.size());
+    for (size_t c : key_cols) t.key.push_back(row[c]);
+    t.impact = prov.impact[i];
+    t.prov_rows = {i};
+    group_hash.push_back(h);
+    slots[pos] = static_cast<uint32_t>(out.tuples.size());
+    if (2 * out.tuples.size() > slots.size()) {
+      // Keep the load at or under one half: double and re-place every
+      // group from its stored hash.
+      slots.assign(2 * slots.size(), 0);
+      mask = slots.size() - 1;
+      for (size_t g = 0; g < group_hash.size(); ++g) {
+        size_t p = group_hash[g] & mask;
+        while (slots[p] != 0) p = (p + 1) & mask;
+        slots[p] = static_cast<uint32_t>(g + 1);
+      }
+    }
+  }
+  // Give the reserve back when duplicates left most of it unused: the
+  // relation lives on in the stage-1 cache.
+  if (2 * out.tuples.size() < out.tuples.capacity()) {
+    out.tuples.shrink_to_fit();
   }
   return out;
 }

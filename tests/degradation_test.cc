@@ -265,6 +265,45 @@ TEST(DegradationTest, DegradedResultMatchesDirectGreedyBaseline) {
   EXPECT_EQ(got.log_probability, direct.log_probability);
 }
 
+TEST(DegradationTest, SlowUnwindPastTheCallersDeadlineStillDegrades) {
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "fault probes compiled out";
+  }
+  // The portfolio.unwind probe holds the interrupted exact leg until the
+  // caller's own deadline has passed too — the slow unwind a loaded
+  // machine can produce past the 2% reserve. The greedy answer is ready,
+  // so the call must still return it, degraded.
+  FaultGuard guard("portfolio.unwind=once0");
+  SyntheticDataset data = DegradeTestData(54, 40);
+  PipelineInput input = HardInput(data);
+  Explain3DConfig config = HardSolveConfig();
+  config.portfolio = true;
+  CancelToken deadline(0.4);
+  input.cancel = &deadline;
+  Result<PipelineResult> r = RunExplain3D(input, config);
+  std::vector<FaultSiteStats> sites = FaultInjector::Instance().SiteStats();
+  ASSERT_EQ(sites.size(), 1u);
+  EXPECT_EQ(sites[0].fires, 1u);
+  EXPECT_EQ(deadline.Check().code(), StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r.value().degraded());
+  EXPECT_EQ(r.value().degradation().interrupt_code,
+            StatusCode::kDeadlineExceeded);
+
+  ProbabilityModel prob(config);
+  ExplanationSet direct =
+      GreedyBaseline(r.value().t1(), r.value().t2(),
+                     r.value().initial_mapping(),
+                     input.attr_matches.front(), prob);
+  direct.log_probability = prob.Score(r.value().t1(), r.value().t2(),
+                                      r.value().initial_mapping(), direct);
+  const ExplanationSet& got = r.value().core().explanations;
+  EXPECT_EQ(got.delta, direct.delta);
+  EXPECT_EQ(got.value_changes, direct.value_changes);
+  EXPECT_EQ(got.evidence.size(), direct.evidence.size());
+  EXPECT_EQ(got.log_probability, direct.log_probability);
+}
+
 TEST(DegradationTest, FastSolvesNeverDegradeAndStayBitIdentical) {
   // An easy instance under a generous budget: portfolio mode must be a
   // no-op — same result as strict, not marked, exact solver throughout.

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/matching_context.h"
@@ -255,6 +258,59 @@ TEST(MatchingContextCacheTest, EraseIfDropsMatchingKeysOnly) {
   size_t hits_before = ctx.hits();
   ctx.GetOrBuild("g2|q1", build).value();
   EXPECT_EQ(ctx.hits(), hits_before + 1);  // unmatched key survived
+}
+
+// A block whose teardown calls back into `ctx` from another thread and
+// waits up to 10 s for the answer. `released` records whether the call
+// got through — it cannot while the cache still holds its lock — and
+// `probe` keeps the call's future alive past the deleter, so a blocked
+// call never deadlocks the deleter itself.
+ArtifactsPtr BlockProbingContextOnRelease(const MatchingContext* ctx,
+                                          std::future<size_t>* probe,
+                                          bool* released) {
+  auto art = std::make_shared<Stage1Artifacts>();
+  art->storage_owner = std::shared_ptr<const void>(
+      nullptr, [ctx, probe, released](const void*) {
+        *probe = std::async(std::launch::async, [ctx] { return ctx->size(); });
+        *released = probe->wait_for(std::chrono::seconds(10)) ==
+                    std::future_status::ready;
+      });
+  return art;
+}
+
+TEST(MatchingContextCacheTest, DroppedBlocksAreDestroyedOutsideTheLock) {
+  auto other = [] { return TinyBlock(4); };
+  {  // EraseIf (a re-registration retiring a dataset's entries)
+    MatchingContext ctx;
+    std::future<size_t> probe;
+    bool released = false;
+    ASSERT_TRUE(ctx.Put("g1|q", BlockProbingContextOnRelease(&ctx, &probe,
+                                                              &released)));
+    EXPECT_EQ(ctx.EraseIf([](const std::string& key) {
+      return key.rfind("g1|", 0) == 0;
+    }), 1u);
+    EXPECT_TRUE(released) << "EraseIf destroyed the block under its lock";
+  }
+  {  // Clear
+    MatchingContext ctx;
+    std::future<size_t> probe;
+    bool released = false;
+    ASSERT_TRUE(
+        ctx.Put("a", BlockProbingContextOnRelease(&ctx, &probe, &released)));
+    ctx.GetOrBuild("b", other).value();
+    ctx.Clear();
+    EXPECT_TRUE(released) << "Clear destroyed the block under its lock";
+  }
+  {  // budget eviction on insert
+    MatchingContext ctx(1);  // every insert evicts all but the newest
+    std::future<size_t> probe;
+    bool released = false;
+    ASSERT_TRUE(
+        ctx.Put("a", BlockProbingContextOnRelease(&ctx, &probe, &released)));
+    ctx.GetOrBuild("b", other).value();
+    EXPECT_EQ(ctx.evictions(), 1u);
+    EXPECT_TRUE(released) << "eviction destroyed the block under its lock";
+  }
 }
 
 TEST(PipelineLifetimeTest, TwoContextsOverSameDatabasesDoNotAlias) {

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/partitioning.h"
@@ -176,6 +180,118 @@ TEST(CanonicalTest, StrictAggregatesSkipConsolidation) {
   auto prov = DeriveProvenanceSql(db, "SELECT MAX(v) FROM T").value();
   auto canon = Canonicalize(prov, {"k"}).value();
   EXPECT_EQ(canon.size(), 2u);  // AVG/MAX/MIN: no grouping (Def. 3.1)
+}
+
+// A SUM provenance relation over `rows` with the given impacts; columns
+// are named c0, c1, ... and take any Value (types mix freely).
+ProvenanceRelation RawProvenance(size_t width, std::vector<Row> rows,
+                                 std::vector<double> impacts) {
+  Schema s;
+  for (size_t c = 0; c < width; ++c) {
+    s.AddColumn(Column("c" + std::to_string(c), DataType::kDouble));
+  }
+  ProvenanceRelation prov;
+  prov.table = Table("T", s);
+  for (Row& r : rows) prov.table.AppendUnchecked(std::move(r));
+  prov.impact = std::move(impacts);
+  prov.agg = AggFunc::kSum;
+  prov.integral_impacts = false;
+  return prov;
+}
+
+TEST(CanonicalTest, NanKeysFormOneGroupOfTheirOwn) {
+  const double nan = std::nan("");
+  std::vector<Row> rows;
+  for (double k : {1.0, nan, 2.0, 3.0, -nan, 1.0, 4.0}) rows.push_back({k});
+  ProvenanceRelation prov =
+      RawProvenance(1, std::move(rows), {1, 10, 100, 1000, 20, 2, 4});
+  CanonicalRelation canon = Canonicalize(prov, {"c0"}).value();
+  ASSERT_EQ(canon.size(), 5u);
+  EXPECT_EQ(canon.tuples[0].key[0].AsDouble(), 1.0);
+  EXPECT_EQ(canon.tuples[0].prov_rows, (std::vector<size_t>{0, 5}));
+  EXPECT_EQ(canon.tuples[0].impact, 3.0);
+  EXPECT_TRUE(std::isnan(canon.tuples[1].key[0].AsDouble()));
+  EXPECT_EQ(canon.tuples[1].prov_rows, (std::vector<size_t>{1, 4}));
+  EXPECT_EQ(canon.tuples[1].impact, 30.0);
+  EXPECT_EQ(canon.tuples[4].key[0].AsDouble(), 4.0);
+}
+
+// Reference grouping: linear search over the groups by Value::Compare,
+// in first-appearance order, impacts summed in row order.
+std::vector<CanonicalTuple> BruteForceGroups(const ProvenanceRelation& prov,
+                                             size_t width) {
+  std::vector<CanonicalTuple> groups;
+  for (size_t i = 0; i < prov.size(); ++i) {
+    const Row& row = prov.table.row(i);
+    CanonicalTuple* hit = nullptr;
+    for (CanonicalTuple& g : groups) {
+      size_t c = 0;
+      while (c < width && g.key[c].Compare(row[c]) == 0) ++c;
+      if (c == width) {
+        hit = &g;
+        break;
+      }
+    }
+    if (hit == nullptr) {
+      CanonicalTuple t;
+      t.key.assign(row.begin(), row.begin() + width);
+      t.impact = prov.impact[i];
+      t.prov_rows = {i};
+      groups.push_back(std::move(t));
+    } else {
+      hit->impact += prov.impact[i];
+      hit->prov_rows.push_back(i);
+    }
+  }
+  return groups;
+}
+
+TEST(CanonicalTest, HashIndexMatchesBruteForceGrouping) {
+  // Each cell draws from a small pool, so keys repeat heavily, and the
+  // pools hold values that compare equal across representations: int 3
+  // and double 3.0, -0.0 and 0.0 and int 0, NaNs with different signs
+  // and payloads. The 16 values form 11 equality classes, so up to 1331
+  // distinct 3-column keys push the index through several doublings and
+  // plenty of probe collisions.
+  const std::vector<Value> pool = {
+      Value(0),         Value(0.0),        Value(-0.0),
+      Value(3),         Value(3.0),        Value(-7),
+      Value(2.5),       Value(std::nan("")), Value(-std::nan("")),
+      Value(std::nan("42")), Value::Null(), Value("x"),
+      Value("X"),       Value("x "),       Value(""),
+      Value(int64_t{1} << 40)};
+  Rng rng(1903);
+  for (int trial = 0; trial < 12; ++trial) {
+    size_t width = 1 + static_cast<size_t>(trial % 3);
+    size_t n = 200 + rng.Index(4000);
+    std::vector<Row> rows;
+    std::vector<double> impacts;
+    for (size_t i = 0; i < n; ++i) {
+      Row r;
+      for (size_t c = 0; c < width; ++c) {
+        r.push_back(pool[rng.Index(pool.size())]);
+      }
+      rows.push_back(std::move(r));
+      impacts.push_back(rng.UniformDouble(-1, 1));  // order-sensitive sums
+    }
+    ProvenanceRelation prov = RawProvenance(width, rows, impacts);
+    std::vector<std::string> attrs;
+    for (size_t c = 0; c < width; ++c) attrs.push_back("c" + std::to_string(c));
+    CanonicalRelation got = Canonicalize(prov, attrs).value();
+    std::vector<CanonicalTuple> want = BruteForceGroups(prov, width);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t g = 0; g < want.size(); ++g) {
+      const CanonicalTuple& a = got.tuples[g];
+      const CanonicalTuple& b = want[g];
+      ASSERT_EQ(a.KeyString(), b.KeyString()) << "trial " << trial;
+      uint64_t bits_a, bits_b;
+      std::memcpy(&bits_a, &a.impact, sizeof(double));
+      std::memcpy(&bits_b, &b.impact, sizeof(double));
+      EXPECT_EQ(bits_a, bits_b) << "trial " << trial << " group " << g;
+      EXPECT_EQ(a.prov_rows, b.prov_rows)
+          << "trial " << trial << " group " << g;
+    }
+  }
 }
 
 TEST(SummarizerTest, FindsDominantPattern) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "relational/csv.h"
 #include "relational/executor.h"
 #include "relational/parser.h"
@@ -43,6 +46,66 @@ TEST(ValueTest, CompareAndHashSemantics) {
   EXPECT_LT(Value::Null().Compare(Value(0)), 0);   // NULL orders first
   EXPECT_LT(Value(5).Compare(Value("5")), 0);      // numbers before strings
   EXPECT_EQ(Value("ab").Compare(Value("ab")), 0);
+}
+
+TEST(ValueTest, NanEqualsNanAndSortsAfterEveryNumber) {
+  const Value nan(std::nan(""));
+  const Value neg_nan(-std::nan(""));
+  const Value payload_nan(std::nan("7"));
+  EXPECT_EQ(nan.Compare(neg_nan), 0);
+  EXPECT_EQ(nan.Compare(payload_nan), 0);
+  EXPECT_GT(nan.Compare(Value(1)), 0);
+  EXPECT_GT(nan.Compare(Value(HUGE_VAL)), 0);
+  EXPECT_LT(Value(-HUGE_VAL).Compare(nan), 0);
+  EXPECT_LT(Value(2.0).Compare(nan), 0);
+  EXPECT_GT(nan.Compare(Value::Null()), 0);  // NULL still orders first
+  EXPECT_LT(nan.Compare(Value("a")), 0);     // strings still order last
+  EXPECT_EQ(nan.Hash(), neg_nan.Hash());
+  EXPECT_EQ(nan.Hash(), payload_nan.Hash());
+  EXPECT_EQ(Value(-0.0).Compare(Value(0.0)), 0);
+  EXPECT_EQ(Value(-0.0).Hash(), Value(0.0).Hash());
+  EXPECT_EQ(Value(-0.0).Hash(), Value(0).Hash());
+}
+
+// k = [1, NaN, 2, 3, NaN, 1, 4]; the NaNs arrive through the CSV parse
+// path (ParseValueAs → strtod accepts "nan").
+Database NanKeyDb() {
+  Database db("nan");
+  Schema s;
+  s.AddColumn(Column("k", DataType::kDouble));
+  Table t("T", s);
+  for (const char* text : {"1", "nan", "2", "3", "nan", "1", "4"}) {
+    t.AppendUnchecked({ParseValueAs(text, DataType::kDouble).value()});
+  }
+  db.PutTable(std::move(t));
+  return db;
+}
+
+TEST(ExecutorTest, DistinctKeepsOneNanRowApartFromTheNumbers) {
+  Database db = NanKeyDb();
+  Executor exec(&db);
+  Table distinct = exec.ExecuteSql("SELECT DISTINCT k FROM T").value();
+  ASSERT_EQ(distinct.num_rows(), 5u);
+  // Sorted: the numbers ascending, then NaN.
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(distinct.row(i)[0].AsDouble(), static_cast<double>(i + 1));
+  }
+  EXPECT_TRUE(std::isnan(distinct.row(4)[0].AsDouble()));
+}
+
+TEST(ExecutorTest, GroupByPutsNanRowsInTheirOwnGroup) {
+  Database db = NanKeyDb();
+  Executor exec(&db);
+  Table grouped =
+      exec.ExecuteSql("SELECT k, COUNT(k) AS n FROM T GROUP BY k").value();
+  ASSERT_EQ(grouped.num_rows(), 5u);
+  std::vector<int64_t> counts;
+  for (size_t i = 0; i < grouped.num_rows(); ++i) {
+    counts.push_back(grouped.Get(i, "n").AsInt64());
+  }
+  EXPECT_EQ(counts, (std::vector<int64_t>{2, 1, 1, 1, 2}));
+  EXPECT_EQ(grouped.Get(0, "k").AsDouble(), 1.0);
+  EXPECT_TRUE(std::isnan(grouped.Get(4, "k").AsDouble()));
 }
 
 TEST(ValueTest, ParseValueAsTypes) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,6 +39,62 @@ TEST(TokenDictionaryTest, IdsAreDenseFirstSeenOrder) {
     EXPECT_EQ(dict.Intern("tok" + std::to_string(i)), i);
   }
   EXPECT_EQ(dict.size(), 100u);
+}
+
+// A random byte string: letters, digits, spaces, punctuation, NUL and
+// bytes >= 0x80, so token boundaries and non-ASCII bytes both occur.
+std::string RandomBytes(Rng* rng, size_t max_len) {
+  static const char kAlphabet[] = "aBc9Z0 ,.-_";
+  std::string s;
+  size_t len = rng->Index(max_len + 1);
+  for (size_t k = 0; k < len; ++k) {
+    double roll = rng->UniformDouble();
+    if (roll < 0.6) {
+      s.push_back(kAlphabet[rng->Index(sizeof(kAlphabet) - 1)]);
+    } else if (roll < 0.8) {
+      s.push_back(static_cast<char>(0x80 + rng->Index(128)));
+    } else {
+      s.push_back(static_cast<char>(rng->Index(256)));
+    }
+  }
+  return s;
+}
+
+TEST(TokenDictionaryTest, FlatIndexKeepsFirstSeenIdsAcrossGrowth) {
+  // ~5k distinct tokens from a skewed stream: the index starts at 16
+  // slots and doubles about nine times while hot tokens keep hitting.
+  Rng rng(2207);
+  std::vector<std::string> vocab(5000);
+  for (std::string& tok : vocab) tok = RandomBytes(&rng, 10);
+  std::unordered_map<std::string, uint32_t> ref;
+  std::vector<std::string> ref_tokens;
+  TokenDictionary dict;
+  for (int draw = 0; draw < 40000; ++draw) {
+    const std::string& tok =
+        vocab[rng.Bernoulli(0.5) ? rng.Index(64) : rng.Index(vocab.size())];
+    auto [it, inserted] =
+        ref.emplace(tok, static_cast<uint32_t>(ref_tokens.size()));
+    if (inserted) ref_tokens.push_back(tok);
+    // Alternate the two overloads: they must assign the same ids.
+    uint32_t id = draw % 2 == 0 ? dict.Intern(tok)
+                                : dict.Intern(tok.data(), tok.size());
+    ASSERT_EQ(id, it->second) << "draw " << draw;
+  }
+  ASSERT_EQ(dict.size(), ref_tokens.size());
+  EXPECT_GT(dict.size(), 4000u);
+  for (uint32_t id = 0; id < dict.size(); ++id) {
+    const std::string& tok = ref_tokens[id];
+    EXPECT_EQ(dict.token(id), tok);
+    EXPECT_EQ(dict.Find(tok), id);
+    EXPECT_EQ(dict.Intern(tok.data(), tok.size()), id);
+    EXPECT_EQ(dict.Intern(tok), id);
+  }
+  EXPECT_EQ(dict.size(), ref_tokens.size());  // re-interning added nothing
+  for (int k = 0; k < 2000; ++k) {
+    std::string unseen = RandomBytes(&rng, 12) + "#unseen";
+    EXPECT_EQ(dict.Find(unseen), TokenDictionary::kMissing);
+  }
+  EXPECT_EQ(TokenDictionary().Find("x"), TokenDictionary::kMissing);
 }
 
 // Builds the sorted-unique string token set and its interned counterpart.
@@ -160,6 +218,68 @@ TEST(InternedRelationTest, ColumnarViewsMatchPerTupleRecomputation) {
     for (size_t k = 0; k < key_union.size(); ++k) {
       EXPECT_EQ(ku[k], key_union[k]);
     }
+  }
+}
+
+TEST(InternedRelationTest, InPlaceTokenizationMatchesTokenizeWords) {
+  // Random byte strings (bytes >= 0x80 included) beside numeric and NULL
+  // cells. A reference dictionary interns TokenizeWords' tokens in the
+  // build's order — each string cell's words, then (with bags) each
+  // numeric cell's display words — so ids, cell sets and bags must match
+  // exactly.
+  Rng rng(2208);
+  CanonicalRelation rel;
+  rel.key_attrs = {"a", "b"};
+  for (size_t i = 0; i < 600; ++i) {
+    CanonicalTuple t;
+    for (int a = 0; a < 2; ++a) {
+      double roll = rng.UniformDouble();
+      if (roll < 0.1) {
+        t.key.push_back(Value::Null());
+      } else if (roll < 0.2) {
+        t.key.push_back(Value(rng.UniformDouble(-50, 50)));
+      } else {
+        t.key.push_back(Value(RandomBytes(&rng, 24)));
+      }
+    }
+    t.impact = 1;
+    t.prov_rows = {i};
+    rel.tuples.push_back(std::move(t));
+  }
+  TokenDictionary dict;
+  InternedRelation interned(rel, &dict, /*with_bags=*/true);
+  TokenDictionary ref;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    TokenIdSet bag;
+    for (size_t a = 0; a < 2; ++a) {
+      const Value& v = rel.tuples[i].key[a];
+      TokenIdSet cell;
+      if (v.type() == DataType::kString) {
+        for (const std::string& tok : TokenizeWords(v.AsString())) {
+          cell.push_back(ref.Intern(tok));
+        }
+      }
+      std::sort(cell.begin(), cell.end());
+      cell.erase(std::unique(cell.begin(), cell.end()), cell.end());
+      Span<const uint32_t> got = interned.attr_tokens(i, a);
+      ASSERT_EQ(std::vector<uint32_t>(got.begin(), got.end()), cell)
+          << "tuple " << i << " cell " << a;
+      bag.insert(bag.end(), cell.begin(), cell.end());
+      if (v.is_numeric()) {
+        for (const std::string& tok : TokenizeWords(v.ToDisplayString())) {
+          bag.push_back(ref.Intern(tok));
+        }
+      }
+    }
+    std::sort(bag.begin(), bag.end());
+    bag.erase(std::unique(bag.begin(), bag.end()), bag.end());
+    Span<const uint32_t> got_bag = interned.bag(i);
+    ASSERT_EQ(std::vector<uint32_t>(got_bag.begin(), got_bag.end()), bag)
+        << "tuple " << i;
+  }
+  ASSERT_EQ(dict.size(), ref.size());
+  for (uint32_t id = 0; id < dict.size(); ++id) {
+    EXPECT_EQ(dict.token(id), ref.token(id)) << "id " << id;
   }
 }
 
