@@ -41,13 +41,13 @@
 //                         the cold first request against the restored
 //                         service's first request — a warm hit straight
 //                         off the mmapped snapshot, no rebuild.
-//   8. service-multi-client — four tenants flooding IDENTICAL oracle-free
-//                         requests through one service, coalescing off vs
-//                         on: off pays one pipeline run per ticket, on
-//                         shares one run per key (coalesced_hits) at the
-//                         same bit-exact results. The fairness spread
-//                         (max/min per-client makespan under DRR) rides
-//                         along in both rows.
+//   8. service-multi-client — four tenants flooding IDENTICAL requests
+//                         onto a COLD pair through one service: the
+//                         cache's single-flight build runs stage 1 once
+//                         for the whole flood (cold_misses == 1, the
+//                         rest warm hits) while every ticket runs its
+//                         own solve. The fairness spread (max/min
+//                         per-client makespan under DRR) rides along.
 //
 // EXPLAIN3D_SCALE scales the dataset; requests count is fixed.
 //
@@ -385,7 +385,7 @@ ModeTail MeasureDegradationTail(const SyntheticDataset& data, bool portfolio,
   return tail;
 }
 
-// --- phase 8: multi-client coalescing + fairness ----------------------------
+// --- phase 8: multi-client cold flood + fairness ----------------------------
 
 struct MultiClientRow {
   double rps = 0;
@@ -393,26 +393,16 @@ struct MultiClientRow {
   ServiceStats stats;
 };
 
-// Four closed-loop tenants, each flooding the SAME oracle-free request.
-// With coalescing off every ticket pays a pipeline run; with it on, all
-// tickets in flight at the same time share one run and resolve off the
-// leader's result — same answers, a fraction of the work.
-MultiClientRow MeasureMultiClient(const SyntheticDataset& data,
-                                  bool coalesce) {
+// Four closed-loop tenants, each flooding the SAME request onto a pair
+// no request has touched yet: the first claims start the one stage-1
+// build, the concurrent ones wait for it, and later ones hit the cache.
+MultiClientRow MeasureMultiClient(const SyntheticDataset& data) {
   constexpr size_t kClients = 4;
   ServiceOptions options;
   options.max_concurrency = 2;
-  options.enable_coalescing = coalesce;
   Explain3DService service(options);
   DatabaseHandle h1 = service.RegisterDatabase("db1", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("db2", data.db2);
-
-  auto coalescible = [&] {
-    ExplanationRequest req = MakeRequest(data, h1, h2);
-    req.calibration_oracle = nullptr;  // closures have no identity to share
-    return req;
-  };
-  service.Submit(coalescible())->Wait();  // warm the cache, untimed
 
   std::vector<double> makespan(kClients, 0);
   Timer timer;
@@ -424,7 +414,7 @@ MultiClientRow MeasureMultiClient(const SyntheticDataset& data,
       Timer own;
       std::vector<TicketPtr> tickets;
       for (size_t i = 0; i < kRequestsPerSubmitter; ++i) {
-        tickets.push_back(service.Submit(coalescible(), sopts));
+        tickets.push_back(service.Submit(MakeRequest(data, h1, h2), sopts));
       }
       for (const TicketPtr& t : tickets) {
         if (!t->Wait().ok()) {
@@ -445,24 +435,6 @@ MultiClientRow MeasureMultiClient(const SyntheticDataset& data,
   row.makespan_max = *std::max_element(makespan.begin(), makespan.end());
   row.stats = service.Stats();
   return row;
-}
-
-std::string MultiClientJson(const char* mode, const MultiClientRow& r) {
-  std::string out = "{\"mode\":\"";
-  out += mode;
-  out += "\",\"rps\":" + Fmt(r.rps, "%.3f");
-  out += ",\"coalesced_hits\":" + std::to_string(r.stats.coalesced_hits);
-  out += ",\"warm_hits\":" + std::to_string(r.stats.warm_hits);
-  out += ",\"cold_misses\":" + std::to_string(r.stats.cold_misses);
-  out += ",\"completed\":" + std::to_string(r.stats.completed);
-  out += ",\"quota_rejected\":" + std::to_string(r.stats.quota_rejected);
-  out += ",\"makespan_min_s\":" + Fmt(r.makespan_min, "%.6f");
-  out += ",\"makespan_max_s\":" + Fmt(r.makespan_max, "%.6f");
-  out += ",\"fairness_spread\":" +
-         Fmt(r.makespan_min > 0 ? r.makespan_max / r.makespan_min : 0.0,
-             "%.3f");
-  out += "}";
-  return out;
 }
 
 std::string ModeTailJson(const char* mode, const ModeTail& t) {
@@ -724,32 +696,26 @@ int main() {
     std::filesystem::remove_all(dir);
   }
 
-  // --- phase 8: multi-client coalescing + fairness --------------------------
+  // --- phase 8: multi-client cold flood + fairness --------------------------
   {
-    MultiClientRow off = MeasureMultiClient(data, /*coalesce=*/false);
-    MultiClientRow on = MeasureMultiClient(data, /*coalesce=*/true);
-
+    MultiClientRow r = MeasureMultiClient(data);
+    const double spread =
+        r.makespan_min > 0 ? r.makespan_max / r.makespan_min : 0.0;
     std::printf("\nmulti-client serving: 4 tenants x %zu identical "
-                "requests, coalescing off vs on:\n",
+                "requests onto a cold pair:\n",
                 kRequestsPerSubmitter);
-    TablePrinter mc_table({"coalescing", "rps", "coalesced hits",
+    TablePrinter mc_table({"rps", "stage-1 builds", "warm hits",
                            "pipeline runs", "fairness spread"});
-    for (const auto& entry :
-         {std::pair<const char*, const MultiClientRow*>{"off", &off},
-          std::pair<const char*, const MultiClientRow*>{"on", &on}}) {
-      const MultiClientRow& r = *entry.second;
-      mc_table.AddRow(
-          {entry.first, Fmt(r.rps, "%.2f"),
-           std::to_string(r.stats.coalesced_hits),
-           std::to_string(r.stats.completed - r.stats.coalesced_hits),
-           Fmt(r.makespan_min > 0 ? r.makespan_max / r.makespan_min : 0.0,
-               "%.2fx")});
-    }
+    mc_table.AddRow({Fmt(r.rps, "%.2f"), std::to_string(r.stats.cold_misses),
+                     std::to_string(r.stats.warm_hits),
+                     std::to_string(r.stats.completed),
+                     Fmt(spread, "%.2fx")});
     mc_table.Print();
-    std::printf("coalescing speedup: %.2fx (%zu of %zu tickets shared a "
-                "leader's run)\n",
-                off.rps > 0 ? on.rps / off.rps : 0.0,
-                on.stats.coalesced_hits, on.stats.completed);
+    if (r.stats.cold_misses != 1) {
+      std::fprintf(stderr, "expected one stage-1 build, saw %zu\n",
+                   r.stats.cold_misses);
+      return 1;
+    }
 
     std::string mc_json = "{\"figure\":\"service-multi-client\"";
     mc_json += ",\"scale\":" + Fmt(Scale(), "%.3g");
@@ -757,10 +723,13 @@ int main() {
     mc_json += ",\"clients\":4";
     mc_json +=
         ",\"requests_per_client\":" + std::to_string(kRequestsPerSubmitter);
-    mc_json += ",\"speedup\":" +
-               Fmt(off.rps > 0 ? on.rps / off.rps : 0.0, "%.3f");
-    mc_json += ",\"modes\":[" + MultiClientJson("off", off) + "," +
-               MultiClientJson("on", on) + "]}";
+    mc_json += ",\"rps\":" + Fmt(r.rps, "%.3f");
+    mc_json += ",\"cold_misses\":" + std::to_string(r.stats.cold_misses);
+    mc_json += ",\"warm_hits\":" + std::to_string(r.stats.warm_hits);
+    mc_json += ",\"completed\":" + std::to_string(r.stats.completed);
+    mc_json += ",\"makespan_min_s\":" + Fmt(r.makespan_min, "%.6f");
+    mc_json += ",\"makespan_max_s\":" + Fmt(r.makespan_max, "%.6f");
+    mc_json += ",\"fairness_spread\":" + Fmt(spread, "%.3f") + "}";
     AppendBenchJson("service", mc_json);
   }
   return 0;

@@ -1,13 +1,14 @@
-// Multi-tenant serving: request coalescing, per-client quotas, and
+// Multi-tenant serving: shared stage-1 builds, per-client quotas, and
 // fair scheduling across clients sharing one Explain3DService.
 //
-// Scenario: a "dashboard" tenant refreshes the same explanation for
-// many viewers at once, while an "analyst" tenant asks one-off
-// questions. This example walks the multi-tenant surface:
+// Scenario: many viewers open the same dashboard explanation at once,
+// a "dashboard" tenant refreshes it, and an "analyst" tenant asks
+// one-off questions. This example walks the multi-tenant surface:
 //
-//   1. coalescing: identical oracle-free requests in flight share ONE
-//      pipeline run — followers hold no queue slot and resolve with
-//      the leader's result zero-copy (coalesced_hits)
+//   1. one build: concurrent requests over a cold dataset pair share
+//      ONE stage-1 build — the cache's single-flight miss — and every
+//      result holds the same artifacts block zero-copy (cold_misses,
+//      warm_hits); each request still runs its own solve
 //   2. per-client quotas: a flooding client is bounded by
 //      per_client_max_queued (kResourceExhausted → quota_rejected)
 //      without touching anyone else's requests
@@ -44,8 +45,6 @@ int main() {
   DatabaseHandle site = service.RegisterDatabase("site", data.db1);
   DatabaseHandle records = service.RegisterDatabase("records", data.db2);
 
-  // Oracle-free requests have a comparable identity, so identical ones
-  // coalesce. (A calibration_oracle closure would opt the request out.)
   auto request = [&] {
     ExplanationRequest req;
     req.db1 = site;
@@ -58,12 +57,12 @@ int main() {
     return req;
   };
 
-  // --- 1. coalescing: ten viewers, one computation ------------------------
-  SubmitOptions dashboard;
-  dashboard.client_id = "dashboard";
+  // --- 1. one build: ten viewers, one stage 1 ----------------------------
   std::vector<TicketPtr> viewers;
   for (int i = 0; i < 10; ++i) {
-    viewers.push_back(service.Submit(request(), dashboard));
+    SubmitOptions viewer;
+    viewer.client_id = "viewer-" + std::to_string(i);
+    viewers.push_back(service.Submit(request(), viewer));
   }
   for (const TicketPtr& t : viewers) {
     if (!t->Wait().ok()) {
@@ -71,26 +70,27 @@ int main() {
       return 1;
     }
   }
-  // All ten share the same artifacts: the followers' results are the
-  // leader's, pointer for pointer.
+  // All ten hold the same artifacts block, pointer for pointer.
   bool shared = true;
   for (const TicketPtr& t : viewers) {
     shared = shared && t->Wait().value().artifacts().get() ==
                            viewers[0]->Wait().value().artifacts().get();
   }
-  ServiceStats after_fanout = service.Stats();
-  std::printf("10 identical dashboard requests: %zu coalesced onto one "
-              "run, artifacts shared: %s\n",
-              after_fanout.coalesced_hits, shared ? "yes" : "no");
+  ServiceStats after_viewers = service.Stats();
+  std::printf("10 identical viewer requests: %zu stage-1 build, %zu warm "
+              "hits, artifacts shared: %s\n",
+              after_viewers.cold_misses, after_viewers.warm_hits,
+              shared ? "yes" : "no");
+  if (after_viewers.cold_misses != 1 || !shared) return 1;
 
   // --- 2. quotas: the flood is bounded, the analyst is not ----------------
   // Submit past per_client_max_queued: the over-quota tickets resolve
   // kResourceExhausted synchronously; an "analyst" submit sails through.
+  SubmitOptions dashboard;
+  dashboard.client_id = "dashboard";
   std::vector<TicketPtr> flood;
   size_t flood_rejected = 0;
   for (int i = 0; i < 8; ++i) {
-    // Distinct batch sizes → distinct result keys → no coalescing, so
-    // each ticket needs (and is charged) its own queue slot.
     ExplanationRequest req = request();
     req.config.batch_size = 100 + i;
     flood.push_back(service.Submit(std::move(req), dashboard));
@@ -115,8 +115,7 @@ int main() {
               "(+ %zu cancelled + %zu expired + %zu admission-rejected)\n",
               stats.submitted, stats.completed, stats.quota_rejected,
               stats.cancelled, stats.deadline_exceeded, stats.rejected);
-  std::printf("coalesced_hits: %zu of %zu completions served off another "
-              "ticket's run\n",
-              stats.coalesced_hits, stats.completed);
+  std::printf("stage-1 builds: %zu for %zu completions (%zu warm hits)\n",
+              stats.cold_misses, stats.completed, stats.warm_hits);
   return 0;
 }

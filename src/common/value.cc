@@ -187,7 +187,10 @@ Result<Value> ParseValueAs(const std::string& text, DataType type) {
       errno = 0;
       char* end = nullptr;
       double v = std::strtod(text.c_str(), &end);
-      if (errno != 0 || end == text.c_str() || *end != '\0') {
+      // ERANGE also flags an underflow, whose result (a subnormal, or
+      // zero) is still the nearest double; only an overflow fails.
+      const bool overflow = errno == ERANGE && std::isinf(v);
+      if (overflow || end == text.c_str() || *end != '\0') {
         return Status::ParseError("not a number: '" + text + "'");
       }
       return Value(v);

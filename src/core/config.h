@@ -43,7 +43,7 @@ struct Explain3DConfig {
   /// Components whose encoded model stays under this many constraints are
   /// solved through the faithful Section-3.2 MILP encoding; larger
   /// components fall back to the structure-exploiting exact branch &
-  /// bound (see DESIGN.md substitutions — both are exact).
+  /// bound (see docs/DESIGN.md substitutions — both are exact).
   size_t milp_max_constraints = 250;
   size_t milp_max_nodes = 50000;
   /// Node limit of the specialized component solver.

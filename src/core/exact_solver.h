@@ -15,7 +15,7 @@
 // This enables a branch & bound over per-tuple assignment choices with an
 // admissible bound, which scales to the component sizes where the generic
 // MILP (dense basis inverse) becomes impractical. Both solvers are exact;
-// tests cross-check them on random instances (see DESIGN.md).
+// tests cross-check them on random instances (see docs/DESIGN.md).
 
 #ifndef EXPLAIN3D_CORE_EXACT_SOLVER_H_
 #define EXPLAIN3D_CORE_EXACT_SOLVER_H_

@@ -104,38 +104,86 @@ size_t ApproxBytes(const Stage1Artifacts& art) {
 }
 
 Result<MatchingContext::ArtifactsPtr> MatchingContext::GetOrBuild(
-    const std::string& key, const Builder& build) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      // Refresh the LRU position: this entry is now the most recent.
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.art;
+    const std::string& key, const Builder& build, const CancelToken* cancel) {
+  for (;;) {
+    std::shared_ptr<Flight> flight;
+    bool builder = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = cache_.find(key);
+      if (it != cache_.end()) {
+        ++hits_;
+        // Refresh the LRU position: this entry is now the most recent.
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        return it->second.art;
+      }
+      std::shared_ptr<Flight>& slot = flights_[key];
+      if (slot == nullptr) {
+        slot = std::make_shared<Flight>();
+        builder = true;
+        ++misses_;
+      }
+      flight = slot;
     }
-    ++misses_;
+    if (builder) return BuildAndPublish(key, build, flight);
+    // Waiter: the build is someone else's, the deadline is our own. The
+    // wait polls the token, which has no wake-up edge for its deadline.
+    constexpr double kPollSeconds = 0.002;
+    while (!flight->done.WaitForNotificationWithTimeout(kPollSeconds)) {
+      E3D_RETURN_IF_ERROR(CheckCancel(cancel));
+    }
+    const Result<ArtifactsPtr>& outcome = flight->result;
+    if (outcome.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++hits_;
+      return outcome;
+    }
+    const StatusCode code = outcome.status().code();
+    // The builder's own interruption and transient faults say nothing
+    // about the key: go round again, and build if no one else is.
+    if (code != StatusCode::kCancelled &&
+        code != StatusCode::kDeadlineExceeded &&
+        code != StatusCode::kUnavailable) {
+      return outcome.status();
+    }
   }
+}
+
+Result<MatchingContext::ArtifactsPtr> MatchingContext::BuildAndPublish(
+    const std::string& key, const Builder& build,
+    const std::shared_ptr<Flight>& flight) {
   // Build outside the lock so a slow stage 1 never blocks lookups of
   // other dataset pairs. The O(data) byte-accounting walk stays outside
   // too (the block is immutable once built).
-  E3D_ASSIGN_OR_RETURN(ArtifactsPtr built, build());
-  size_t built_bytes = ApproxBytes(*built);
+  Result<ArtifactsPtr> outcome = build();
+  size_t built_bytes = outcome.ok() ? ApproxBytes(*outcome.value()) : 0;
   // Fault probe (common/fault.h): a fired cache.insert drops the freshly
   // built block and fails the call — the transient-failure shape of an
   // insert race or allocation failure. Nothing is cached, so the next
   // request for this key builds again.
-  E3D_RETURN_IF_ERROR(FAULT_POINT("cache.insert"));
-  Retired retired;  // declared first: released after the lock
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    // Two calls raced the build; the first insert wins and both return
-    // the same artifacts (they are deterministic anyway).
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.art;
+  if (outcome.ok()) {
+    if (Status st = FAULT_POINT("cache.insert"); !st.ok()) outcome = st;
   }
-  return InsertLocked(key, std::move(built), built_bytes, &retired);
+  {
+    Retired retired;  // declared first: released after the lock
+    std::lock_guard<std::mutex> lock(mu_);
+    flights_.erase(key);
+    if (outcome.ok()) {
+      auto it = cache_.find(key);
+      if (it != cache_.end()) {
+        // A restored block (Put) landed during the build; the live entry
+        // wins and every caller gets that one.
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        outcome = it->second.art;
+      } else {
+        outcome = InsertLocked(key, std::move(outcome).value(), built_bytes,
+                               &retired);
+      }
+    }
+  }
+  flight->result = outcome;
+  flight->done.Notify();
+  return outcome;
 }
 
 MatchingContext::ArtifactsPtr MatchingContext::InsertLocked(

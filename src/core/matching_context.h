@@ -20,6 +20,9 @@
 // Thread-safe: concurrent pipelines may share one context. Entries are
 // immutable once built and handed out as shared_ptrs, so a Clear() or
 // rebuild never invalidates artifacts an in-flight call still reads.
+// Builds are single-flight per key: concurrent misses on one key run one
+// build and share its block, so this cache is the one place that dedups
+// the stage-1 work of concurrent requests over the same pair.
 
 #ifndef EXPLAIN3D_CORE_MATCHING_CONTEXT_H_
 #define EXPLAIN3D_CORE_MATCHING_CONTEXT_H_
@@ -33,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "core/incumbents.h"
@@ -116,14 +120,24 @@ class MatchingContext {
   /// \brief Returns the cached artifacts for `key`, invoking `build` on a
   /// miss.
   ///
-  /// The build runs outside the lock (concurrent misses on one key may
-  /// build twice; the first insert wins and every caller gets that one).
-  /// A hit refreshes the entry's LRU position; a miss inserts at the
+  /// Single-flight: at most one build per key runs at a time, outside
+  /// the lock. A concurrent miss on the same key waits for that build and
+  /// takes its block; it counts as a hit, and misses() counts builds
+  /// started. The wait polls `cancel` (the waiter's own token), so a
+  /// waiter's cancel or deadline returns its Status within milliseconds
+  /// while the build goes on for the others. A waiter never receives the
+  /// builder's interruption (kCancelled, kDeadlineExceeded) or a
+  /// transient kUnavailable: it retries, and one waiter becomes the next
+  /// builder. Any other build failure depends only on the key and is
+  /// returned to every waiter of that build.
+  ///
+  /// A hit refreshes the entry's LRU position; a build inserts at the
   /// most-recent end and evicts over-budget entries in LRU order. The
   /// returned pointer co-owns the block with the cache entry: it stays
   /// valid after Clear(), eviction, and after this context is destroyed.
   Result<ArtifactsPtr> GetOrBuild(const std::string& key,
-                                  const Builder& build);
+                                  const Builder& build,
+                                  const CancelToken* cancel = nullptr);
 
   /// \brief Inserts a pre-built artifacts block (the snapshot-restore
   /// path). Returns false (and keeps the live entry) when `key` is
@@ -186,6 +200,8 @@ class MatchingContext {
   /// Summed ApproxBytes of the current entries.
   size_t bytes() const;
   /// Lifetime lookup/eviction counters (diagnostics; tests assert reuse).
+  /// hits() counts lookups served an existing block, a waiter's shared
+  /// build included; misses() counts builds started.
   size_t hits() const;
   size_t misses() const;
   size_t evictions() const;
@@ -222,6 +238,18 @@ class MatchingContext {
   /// references move into `retired`.
   void EvictOverBudgetLocked(Retired* retired);
 
+  /// One in-flight build; its waiters hold it by shared_ptr.
+  struct Flight {
+    Result<ArtifactsPtr> result = ArtifactsPtr();  ///< set before done
+    Notification done;
+  };
+
+  /// The builder's half of GetOrBuild: runs `build`, inserts the block,
+  /// retires the flight, and publishes the outcome to its waiters.
+  Result<ArtifactsPtr> BuildAndPublish(const std::string& key,
+                                       const Builder& build,
+                                       const std::shared_ptr<Flight>& flight);
+
   /// Inserts an artifact entry; caller holds mu_, has verified the key
   /// is absent, and precomputed ApproxBytes outside the lock.
   ArtifactsPtr InsertLocked(const std::string& key, ArtifactsPtr art,
@@ -230,6 +258,9 @@ class MatchingContext {
   mutable std::mutex mu_;
   std::list<std::string> lru_;  ///< keys, most recently used first
   std::unordered_map<std::string, Entry> cache_;
+  /// Builds in flight, by key: present from a miss until its outcome is
+  /// published.
+  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
   size_t budget_bytes_ = 0;
   size_t bytes_ = 0;
   size_t hits_ = 0;

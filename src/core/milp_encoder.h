@@ -6,14 +6,14 @@
 //   I*_t ∈ [1, U]  refined impact (integer when impacts are integral)
 // with  y_t + x_t ≤ 1  and the big-U linearization of Eq. (7)
 //   |I*_t − I_t| ≤ U (1 − y_t).
-// The objective term of Eq. (8), with the b/c typo fixed (DESIGN.md), is
+// The objective term of Eq. (8), with the b/c typo fixed (docs/DESIGN.md), is
 //   (a−b)·x_t + (c−b)·y_t + b.
 //
 // Per match m = (i, j, p):
 //   z_m ∈ {0,1};  z_m ≤ 1 − x_i;  z_m ≤ 1 − x_j           (Eq. 9)
 //   objective (log p − log(1−p))·z_m + log(1−p).
 //
-// Validity and completeness (Eq. 10–12 + coverage, see DESIGN.md):
+// Validity and completeness (Eq. 10–12 + coverage, see docs/DESIGN.md):
 //   degree-capped side:      Σ_m z_m + x_t = 1            (exactly-one)
 //   uncapped side:           Σ_m z_m + x_t ≥ 1            (coverage)
 //   impact equality (⊑, per one-side tuple j):

@@ -22,7 +22,6 @@
 #include "provenance/canonical.h"
 #include "relational/executor.h"
 #include "relational/parser.h"
-#include "storage/checksum.h"
 #include "storage/content_hash.h"
 
 namespace explain3d {
@@ -183,11 +182,13 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
     E3D_ASSIGN_OR_RETURN(
         out.artifacts_,
         input.matching_context->GetOrBuild(
-            stage1_key, [&]() -> Result<ArtifactsPtr> {
+            stage1_key,
+            [&]() -> Result<ArtifactsPtr> {
               E3D_ASSIGN_OR_RETURN(std::shared_ptr<Stage1Artifacts> b,
                                    BuildStage1Artifacts(input, threads));
               return ArtifactsPtr(std::move(b));
-            }));
+            },
+            input.cancel));
   } else {
     E3D_ASSIGN_OR_RETURN(std::shared_ptr<Stage1Artifacts> built,
                          BuildStage1Artifacts(input, threads));
@@ -360,52 +361,6 @@ std::string Stage2ConfigTag(const Explain3DConfig& c) {
                    static_cast<unsigned long long>(c.seed),
                    c.milp_max_constraints, c.milp_max_nodes,
                    c.exact_max_nodes);
-}
-
-std::string RequestResultKey(const std::string& db_identity,
-                             const std::string& sql1, const std::string& sql2,
-                             const AttributeMatches& attr_matches,
-                             const MappingGenOptions& mapping,
-                             const GoldPairs& gold,
-                             const Explain3DConfig& config) {
-  // Same shape as Stage1CacheKey (identity + length-prefixed free text +
-  // blocking switch) so the identity-prefix convention carries over, then
-  // every remaining result-affecting knob. An empty attribute match is
-  // keyed as empty text: such requests fail identically (InvalidArgument
-  // at comparability), so sharing that failure is correct.
-  const std::string attr_text =
-      attr_matches.empty() ? std::string() : attr_matches.front().ToString();
-  std::string key = db_identity + "|";
-  for (const std::string& part : {sql1, sql2, attr_text}) {
-    key += std::to_string(part.size()) + ":" + part + "|";
-  }
-  key += mapping.use_blocking ? "blocking" : "allpairs";
-  key += StrFormat(
-      "|m:e%d|cb%zu|lf%.17g|mp%.17g|sf%.17g|xp%.17g|sd%llu",
-      static_cast<int>(mapping.metric), mapping.calibration_buckets,
-      mapping.label_fraction, mapping.min_probability, mapping.score_floor,
-      mapping.max_probability,
-      static_cast<unsigned long long>(mapping.seed));
-  // Gold labels participate hashed: the sets can be O(rows) large, and
-  // the key only has to separate different label sets, not list them.
-  std::vector<uint64_t> packed;
-  packed.reserve(gold.size() * 2);
-  for (const auto& [a, b] : gold) {
-    packed.push_back(static_cast<uint64_t>(a));
-    packed.push_back(static_cast<uint64_t>(b));
-  }
-  key += StrFormat(
-      "|g:%zu:%016llx", gold.size(),
-      static_cast<unsigned long long>(storage::Checksum64(
-          packed.data(), packed.size() * sizeof(uint64_t))));
-  key += Stage2ConfigTag(config);
-  // The warm-start and portfolio switches are excluded from the
-  // incumbent tag (incumbents only record fully-optimal runs), but the
-  // portfolio switch DOES shape what a budgeted run returns. Coalescing
-  // errs conservative: a knob that could matter splits keys.
-  key += StrFormat("|ws%d|pf%d", config.warm_start ? 1 : 0,
-                   config.portfolio ? 1 : 0);
-  return key;
 }
 
 }  // namespace explain3d

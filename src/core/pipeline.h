@@ -88,9 +88,11 @@ struct PipelineInput {
   /// where solves run long), but during stage 1 it is bounded by the
   /// current O(data) build step. Cancellation semantics for the cache:
   /// a build interrupted mid-stage-1 returns an error, so PARTIAL
-  /// artifacts are never inserted; a request cancelled during stage 2
-  /// leaves its COMPLETE stage-1 artifacts cached, so an identical
-  /// retry still gets a warm hit.
+  /// artifacts are never inserted (a call waiting on that build then
+  /// builds instead); a call waiting on another call's build of its key
+  /// polls this token and leaves within milliseconds; a request
+  /// cancelled during stage 2 leaves its COMPLETE stage-1 artifacts
+  /// cached, so an identical retry still gets a warm hit.
   const CancelToken* cancel = nullptr;
 };
 
@@ -262,25 +264,6 @@ Result<PipelineResult> RunExplain3D(const PipelineInput& input,
 /// (db-identity, config-tag) — requests sharing a tag over the same data
 /// have comparable cost.
 std::string Stage2ConfigTag(const Explain3DConfig& config);
-
-/// \brief Canonical result identity of one explanation request: the
-/// request-coalescing key.
-///
-/// The stage-1 cache key (database-pair content identity + queries +
-/// attribute match + blocking) extended with EVERY remaining
-/// result-affecting input — the full mapping options, the calibration
-/// gold labels (hashed), and the stage-2/budget config. Equal keys
-/// guarantee bit-identical PipelineResults, which is what lets
-/// Explain3DService resolve concurrent identical requests from ONE
-/// computation. Thread counts are excluded (bit-identical across them).
-/// A calibration ORACLE is a closure with no serializable identity, so
-/// oracle-carrying requests take no key and must never coalesce.
-std::string RequestResultKey(const std::string& db_identity,
-                             const std::string& sql1, const std::string& sql2,
-                             const AttributeMatches& attr_matches,
-                             const MappingGenOptions& mapping,
-                             const GoldPairs& gold,
-                             const Explain3DConfig& config);
 
 }  // namespace explain3d
 

@@ -12,7 +12,7 @@
 // otherwise. The log-space objective of Eq. (6) is the sum of all tuple
 // and match log-probabilities.
 //
-// Note (paper typo, see DESIGN.md): the paper's Eq. (8) swaps the
+// Note (paper typo, see docs/DESIGN.md): the paper's Eq. (8) swaps the
 // constants b and c relative to its prose; here y=1 (unchanged) pays
 // log α + log β.
 

@@ -16,7 +16,7 @@
 //
 // (The printed paper schema shows MoviePerson(m_id, p_id); a role column
 // is required for Q2's "directed by" to be expressible on view 2, so we
-// add it — documented in DESIGN.md.)
+// add it — documented in docs/DESIGN.md.)
 //
 // Both views then receive ~5% BART errors (bart.h) on non-key columns.
 // Gold standards are derived per query from the entity-id columns that

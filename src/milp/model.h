@@ -5,7 +5,7 @@
 // write `expr += 3.0 * x` style code without manual index bookkeeping.
 //
 // This module replaces the role IBM CPLEX plays in the paper (see
-// DESIGN.md, substitutions table).
+// docs/DESIGN.md, substitutions table).
 
 #ifndef EXPLAIN3D_MILP_MODEL_H_
 #define EXPLAIN3D_MILP_MODEL_H_

@@ -1,5 +1,7 @@
 #include "relational/csv.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -22,11 +24,12 @@ Status ParseRecords(const std::string& text,
     field.clear();
     field_started = false;
   };
+  // Only a line with no characters at all is blank; `""` alone is a
+  // record of one empty field.
   auto end_record = [&] {
+    const bool blank = record.empty() && field.empty() && !field_started;
     end_field();
-    if (record.size() > 1 || !record[0].empty()) {
-      out->push_back(std::move(record));
-    }
+    if (!blank) out->push_back(std::move(record));
     record.clear();
   };
   while (i < text.size()) {
@@ -75,7 +78,7 @@ Status ParseRecords(const std::string& text,
     }
   }
   if (in_quotes) return Status::ParseError("unterminated quoted CSV field");
-  if (!field.empty() || !record.empty()) end_record();
+  end_record();
   return Status::OK();
 }
 
@@ -95,6 +98,17 @@ const char* SuffixFromType(DataType t) {
     default:
       return "str";
   }
+}
+
+/// A double's shortest "%g" rendering that strtod reads back exactly.
+std::string RoundTripDouble(double d) {
+  char buf[32];
+  for (int precision = 15; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
 }
 
 std::string EscapeCsv(const std::string& s) {
@@ -172,8 +186,14 @@ std::string ToCsv(const Table& table) {
   for (const Row& row : table.rows()) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out += ",";
-      if (!row[c].is_null()) out += EscapeCsv(row[c].ToDisplayString());
+      if (row[c].is_null()) continue;
+      out += row[c].type() == DataType::kDouble
+                 ? RoundTripDouble(row[c].AsDouble())
+                 : EscapeCsv(row[c].ToDisplayString());
     }
+    // A one-column row with an empty cell would be a blank line, which
+    // the reader skips; a quoted empty field keeps the row.
+    if (row.size() == 1 && out.back() == '\n') out += "\"\"";
     out += "\n";
   }
   return out;

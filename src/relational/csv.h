@@ -22,7 +22,9 @@ Result<Table> ParseCsv(const std::string& name, const std::string& text);
 Result<Table> LoadCsvFile(const std::string& name, const std::string& path);
 
 /// Serializes a table to CSV text with typed header suffixes, such that
-/// ParseCsv round-trips it.
+/// ParseCsv round-trips it: every value reads back equal (doubles bit
+/// for bit), except that CSV has no NULL apart from the empty cell, so an
+/// empty string reads back as NULL, and header names read back trimmed.
 std::string ToCsv(const Table& table);
 
 /// Writes ToCsv(table) to `path`.

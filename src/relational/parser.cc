@@ -1,5 +1,6 @@
 #include "relational/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <vector>
@@ -9,6 +10,14 @@
 namespace explain3d {
 
 namespace {
+
+/// Deepest nesting the parser descends into, and tallest tree it builds.
+/// SQL text is request input, and everything downstream of the parser —
+/// evaluation, planning, rendering, even destruction — recurses over the
+/// tree, so one hostile query could otherwise exhaust the stack. The
+/// bound counts nesting (parentheses, NOT, unary minus, subqueries) and
+/// left-deep operator chains (a + a + ...; FROM a, b, ...) alike.
+constexpr int kMaxSqlDepth = 256;
 
 enum class TokKind {
   kEnd,
@@ -135,7 +144,11 @@ class Lexer {
   const std::string& in_;
 };
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser over the token stream. Two counters keep it
+/// within kMaxSqlDepth: `depth_` counts the grammar rules currently
+/// nested (each one a recursion), and `height_` is the height of the
+/// subtree the last rule returned, so a chain loop can price each node
+/// it adds without walking the tree.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : toks_(std::move(tokens)) {}
@@ -233,19 +246,53 @@ class Parser {
         StrFormat("%s at offset %zu", msg.c_str(), Peek().pos));
   }
 
+  Status TooDeep() const {
+    return Err(StrFormat("query nested deeper than %d levels", kMaxSqlDepth));
+  }
+
+  /// One nested grammar rule; fails once kMaxSqlDepth rules are open.
+  class Nest {
+   public:
+    explicit Nest(Parser* p) : p_(p) { ++p_->depth_; }
+    ~Nest() { --p_->depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    Status Check() const {
+      return p_->depth_ > kMaxSqlDepth ? p_->TooDeep() : Status::OK();
+    }
+
+   private:
+    Parser* p_;
+  };
+
+  /// Records `height` as the height of `node`, the subtree a rule is
+  /// returning, and fails once it passes kMaxSqlDepth.
+  template <typename T>
+  Result<T> Built(T node, int height) {
+    if (height > kMaxSqlDepth) return TooDeep();
+    height_ = height;
+    return node;
+  }
+
   // --- grammar ------------------------------------------------------------
   Result<SelectStmtPtr> ParseSelect() {
+    Nest nest(this);
+    E3D_RETURN_IF_ERROR(nest.Check());
     E3D_RETURN_IF_ERROR(ExpectKeyword("select"));
     auto stmt = std::make_shared<SelectStmt>();
     stmt->distinct = AcceptKeyword("distinct");
+    int height = 0;
     do {
       E3D_ASSIGN_OR_RETURN(SelectItem item, ParseSelectItem());
+      height = std::max(height, height_);
       stmt->items.push_back(std::move(item));
     } while (AcceptSymbol(","));
     E3D_RETURN_IF_ERROR(ExpectKeyword("from"));
     E3D_ASSIGN_OR_RETURN(stmt->from, ParseTableRef());
+    height = std::max(height, height_);
     if (AcceptKeyword("where")) {
       E3D_ASSIGN_OR_RETURN(stmt->where, ParseExpr());
+      height = std::max(height, height_);
     }
     if (AcceptKeyword("group")) {
       E3D_RETURN_IF_ERROR(ExpectKeyword("by"));
@@ -254,11 +301,12 @@ class Parser {
         stmt->group_by.push_back(std::move(name));
       } while (AcceptSymbol(","));
     }
-    return SelectStmtPtr(stmt);
+    return Built(SelectStmtPtr(stmt), height + 1);
   }
 
   Result<SelectItem> ParseSelectItem() {
     SelectItem item;
+    height_ = 0;  // COUNT(*) parses no expression
     AggFunc agg = AggFunc::kNone;
     if (PeekKeyword("count")) agg = AggFunc::kCount;
     else if (PeekKeyword("sum")) agg = AggFunc::kSum;
@@ -312,24 +360,30 @@ class Parser {
     E3D_ASSIGN_OR_RETURN(std::shared_ptr<const TableRef> left,
                          ParseTablePrimary());
     for (;;) {
+      const int left_height = height_;
       if (AcceptKeyword("join")) {
         E3D_ASSIGN_OR_RETURN(std::shared_ptr<const TableRef> right,
                              ParseTablePrimary());
+        int height = std::max(left_height, height_);
         E3D_RETURN_IF_ERROR(ExpectKeyword("on"));
         E3D_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpr());
-        left = TableRef::Join(left, right, cond);
+        height = std::max(height, height_);
+        E3D_ASSIGN_OR_RETURN(left,
+                             Built(TableRef::Join(left, right, cond),
+                                   height + 1));
       } else if (PeekSymbol(",")) {
         // Comma-join: only treat as a join when followed by a table
         // primary (an identifier or a parenthesized SELECT).
         Advance();
         E3D_ASSIGN_OR_RETURN(std::shared_ptr<const TableRef> right,
                              ParseTablePrimary());
-        left = TableRef::Join(left, right, nullptr);
+        E3D_ASSIGN_OR_RETURN(
+            left, Built(TableRef::Join(left, right, nullptr),
+                        std::max(left_height, height_) + 1));
       } else {
-        break;
+        return left;
       }
     }
-    return left;
   }
 
   Result<std::shared_ptr<const TableRef>> ParseTablePrimary() {
@@ -344,7 +398,7 @@ class Parser {
         return Status(StatusCode::kParseError,
                       "FROM subquery requires an alias");
       }
-      return TableRef::Subquery(sub, alias);
+      return Built(TableRef::Subquery(sub, alias), height_ + 1);
     }
     if (Peek().kind != TokKind::kIdent) return Err("expected table name");
     std::string name = Advance().text;
@@ -352,16 +406,26 @@ class Parser {
     if (Peek().kind == TokKind::kIdent && !IsKeywordText(Peek().text)) {
       alias = Advance().text;
     }
-    return TableRef::Base(name, alias);
+    return Built(TableRef::Base(name, alias), 1);
   }
 
   Result<ExprPtr> ParseExpr() { return ParseOr(); }
 
+  /// `lhs op rhs` over two subtrees whose heights are `lhs_height` and
+  /// height_ (the rhs was parsed last).
+  Result<ExprPtr> BuiltBinary(BinaryOp op, ExprPtr lhs, int lhs_height,
+                              ExprPtr rhs) {
+    return Built(Expr::Binary(op, std::move(lhs), std::move(rhs)),
+                 std::max(lhs_height, height_) + 1);
+  }
+
   Result<ExprPtr> ParseOr() {
     E3D_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (AcceptKeyword("or")) {
+      const int lhs_height = height_;
       E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expr::Binary(BinaryOp::kOr, lhs, rhs);
+      E3D_ASSIGN_OR_RETURN(lhs,
+                           BuiltBinary(BinaryOp::kOr, lhs, lhs_height, rhs));
     }
     return lhs;
   }
@@ -369,8 +433,10 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     E3D_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (AcceptKeyword("and")) {
+      const int lhs_height = height_;
       E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
-      lhs = Expr::Binary(BinaryOp::kAnd, lhs, rhs);
+      E3D_ASSIGN_OR_RETURN(lhs,
+                           BuiltBinary(BinaryOp::kAnd, lhs, lhs_height, rhs));
     }
     return lhs;
   }
@@ -379,8 +445,10 @@ class Parser {
     if (PeekKeyword("not") && !(Peek(1).kind == TokKind::kIdent &&
                                 IEq(Peek(1).text, "exists"))) {
       Advance();
+      Nest nest(this);
+      E3D_RETURN_IF_ERROR(nest.Check());
       E3D_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
-      return Expr::Unary(UnaryOp::kNot, inner);
+      return Built(Expr::Unary(UnaryOp::kNot, inner), height_ + 1);
     }
     return ParsePredicate();
   }
@@ -397,16 +465,17 @@ class Parser {
       E3D_RETURN_IF_ERROR(ExpectSymbol("("));
       E3D_ASSIGN_OR_RETURN(SelectStmtPtr sub, ParseSelect());
       E3D_RETURN_IF_ERROR(ExpectSymbol(")"));
-      return Expr::Exists(sub, not_exists);
+      return Built(Expr::Exists(sub, not_exists), height_ + 1);
     }
 
     E3D_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
+    const int lhs_height = height_;
 
     // IS [NOT] NULL
     if (AcceptKeyword("is")) {
       bool neg = AcceptKeyword("not");
       E3D_RETURN_IF_ERROR(ExpectKeyword("null"));
-      return Expr::IsNull(lhs, neg);
+      return Built(Expr::IsNull(lhs, neg), lhs_height + 1);
     }
 
     // [NOT] IN / [NOT] LIKE
@@ -421,7 +490,8 @@ class Parser {
       if (PeekKeyword("select")) {
         E3D_ASSIGN_OR_RETURN(SelectStmtPtr sub, ParseSelect());
         E3D_RETURN_IF_ERROR(ExpectSymbol(")"));
-        return Expr::InSubquery(lhs, sub, neg);
+        return Built(Expr::InSubquery(lhs, sub, neg),
+                     std::max(lhs_height, height_) + 1);
       }
       std::vector<Value> list;
       do {
@@ -429,12 +499,14 @@ class Parser {
         list.push_back(std::move(v));
       } while (AcceptSymbol(","));
       E3D_RETURN_IF_ERROR(ExpectSymbol(")"));
-      return Expr::InList(lhs, std::move(list), neg);
+      return Built(Expr::InList(lhs, std::move(list), neg), lhs_height + 1);
     }
     if (AcceptKeyword("like")) {
       E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-      ExprPtr like = Expr::Binary(BinaryOp::kLike, lhs, rhs);
-      return neg ? Expr::Unary(UnaryOp::kNot, like) : like;
+      E3D_ASSIGN_OR_RETURN(ExprPtr like, BuiltBinary(BinaryOp::kLike, lhs,
+                                                      lhs_height, rhs));
+      if (!neg) return like;
+      return Built(Expr::Unary(UnaryOp::kNot, like), height_ + 1);
     }
     if (neg) return Err("dangling NOT");
 
@@ -452,7 +524,7 @@ class Parser {
       if (PeekSymbol(cm.sym)) {
         Advance();
         E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-        return Expr::Binary(cm.op, lhs, rhs);
+        return BuiltBinary(cm.op, lhs, lhs_height, rhs);
       }
     }
     return lhs;
@@ -461,37 +533,43 @@ class Parser {
   Result<ExprPtr> ParseAdditive() {
     E3D_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     for (;;) {
+      BinaryOp op;
       if (AcceptSymbol("+")) {
-        E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Expr::Binary(BinaryOp::kAdd, lhs, rhs);
+        op = BinaryOp::kAdd;
       } else if (AcceptSymbol("-")) {
-        E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Expr::Binary(BinaryOp::kSub, lhs, rhs);
+        op = BinaryOp::kSub;
       } else {
         return lhs;
       }
+      const int lhs_height = height_;
+      E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      E3D_ASSIGN_OR_RETURN(lhs, BuiltBinary(op, lhs, lhs_height, rhs));
     }
   }
 
   Result<ExprPtr> ParseMultiplicative() {
     E3D_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     for (;;) {
+      BinaryOp op;
       if (AcceptSymbol("*")) {
-        E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-        lhs = Expr::Binary(BinaryOp::kMul, lhs, rhs);
+        op = BinaryOp::kMul;
       } else if (AcceptSymbol("/")) {
-        E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-        lhs = Expr::Binary(BinaryOp::kDiv, lhs, rhs);
+        op = BinaryOp::kDiv;
       } else {
         return lhs;
       }
+      const int lhs_height = height_;
+      E3D_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      E3D_ASSIGN_OR_RETURN(lhs, BuiltBinary(op, lhs, lhs_height, rhs));
     }
   }
 
   Result<ExprPtr> ParseUnary() {
     if (AcceptSymbol("-")) {
+      Nest nest(this);
+      E3D_RETURN_IF_ERROR(nest.Check());
       E3D_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
-      return Expr::Unary(UnaryOp::kNeg, inner);
+      return Built(Expr::Unary(UnaryOp::kNeg, inner), height_ + 1);
     }
     return ParseAtom();
   }
@@ -525,22 +603,26 @@ class Parser {
     if (t.kind == TokKind::kNumber || t.kind == TokKind::kString ||
         PeekKeyword("null")) {
       E3D_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-      return Expr::Literal(std::move(v));
+      return Built(Expr::Literal(std::move(v)), 1);
     }
     if (AcceptSymbol("(")) {
+      Nest nest(this);
+      E3D_RETURN_IF_ERROR(nest.Check());
       E3D_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
       E3D_RETURN_IF_ERROR(ExpectSymbol(")"));
       return inner;
     }
     if (t.kind == TokKind::kIdent && !IsKeywordText(t.text)) {
       E3D_ASSIGN_OR_RETURN(std::string name, ParseColumnName());
-      return Expr::Column(std::move(name));
+      return Built(Expr::Column(std::move(name)), 1);
     }
     return Err("expected literal, column, or '('");
   }
 
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  int depth_ = 0;   ///< grammar rules currently nested
+  int height_ = 0;  ///< height of the subtree the last rule returned
 };
 
 }  // namespace

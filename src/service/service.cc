@@ -194,15 +194,12 @@ bool RequestTicket::Finish(Result<PipelineResult> result, Source source,
                                                      : c.deadline_exceeded);
     } else {
       ++c.completed;
-      if (source == Source::kShared) ++c.coalesced_hits;
       if (!r.ok()) ++c.failed;
       // OK results marked degraded() came from the portfolio's greedy
       // leg; everything else counts as the exact path.
       ++(r.ok() && r.value().degraded() ? c.completed_degraded
                                         : c.completed_exact);
-      if (r.ok() && source == Source::kOwn) {
-        c.warm_start_hits += r.value().core().stats.warm_start_hits;
-      }
+      if (r.ok()) c.warm_start_hits += r.value().core().stats.warm_start_hits;
     }
   });
   // Counted before waking: a caller released by Wait() already sees its
@@ -237,13 +234,6 @@ Explain3DService::~Explain3DService() {
     bands_.clear();
     client_queued_.clear();
     queued_tickets_ = 0;
-    // Followers awaiting a leader terminate as cancelled too. A RUNNING
-    // leader's fan-out then finds its group gone and shares with no one
-    // — its own real result still stands.
-    for (auto& [key, group] : coalesce_groups_) {
-      for (TicketPtr& f : group.followers) orphans.push_back(std::move(f));
-    }
-    coalesce_groups_.clear();
   }
   // Never-claimed requests terminate as cancelled; their tickets stay
   // valid past the service's lifetime (callers share ownership). Cancel
@@ -359,62 +349,38 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
   ledger_->Apply([](ServiceCounts& c) { ++c.submitted; });
 
   const ExplanationRequest& req = ticket->request_;
-  // Resolve the handles up front, outside mu_, when any identity-keyed
-  // path needs them: the keyed admission estimate and the coalescing key
-  // are both built on the databases' CONTENT identity. A failure here is
-  // NOT the submit's failure — the registry may legitimately change
-  // while the request queues, so stale handles still surface at claim
-  // time, on the ticket; the request merely prices at the fleet-wide
-  // estimate and never coalesces.
-  std::string admission_key, coalesce_key;
-  const bool want_coalesce =
-      options_.enable_coalescing && req.calibration_oracle == nullptr;
-  if (options_.admission_control || want_coalesce) {
+  // Resolve the handles up front, outside mu_, for the keyed admission
+  // estimate, which is built on the databases' CONTENT identity. A
+  // failure here is NOT the submit's failure — the registry may
+  // legitimately change while the request queues, so stale handles still
+  // surface at claim time, on the ticket; the request merely prices at
+  // the fleet-wide estimate.
+  double keyed_p50 = 0;
+  if (options_.admission_control) {
     Result<ResolvedDb> db1 = ResolveHandle(req.db1);
     Result<ResolvedDb> db2 = db1.ok() ? ResolveHandle(req.db2)
                                       : Result<ResolvedDb>(db1.status());
     if (db1.ok() && db2.ok()) {
-      const std::string identity =
-          db1.value().content_tag + "|" + db2.value().content_tag;
-      admission_key = identity + Stage2ConfigTag(req.config);
-      if (want_coalesce) {
-        coalesce_key = RequestResultKey(identity, req.sql1, req.sql2,
-                                        req.attr_matches, req.mapping_options,
-                                        req.calibration_gold, req.config);
-      }
+      ticket->admission_key_ = db1.value().content_tag + "|" +
+                               db2.value().content_tag +
+                               Stage2ConfigTag(req.config);
     }
-  }
-  ticket->admission_key_ = admission_key;
-  // Prefetch the keyed estimate BEFORE taking mu_ — stats_mu_ never
-  // nests under mu_.
-  double keyed_p50 = 0;
-  if (options_.admission_control && deadline > 0) {
-    keyed_p50 = KeyedRunP50(admission_key);
+    // Prefetch the keyed estimate BEFORE taking mu_ — stats_mu_ never
+    // nests under mu_.
+    if (deadline > 0) keyed_p50 = KeyedRunP50(ticket->admission_key_);
   }
 
   bool spawn = false;
   bool shutdown_reject = false;
   bool quota_reject = false;
-  bool coalesced = false;
   size_t client_queued = 0;
   double est_wait = 0, p50_run = 0;
   size_t ahead = 0;
   bool admission_reject = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto group_it = coalesce_key.empty() ? coalesce_groups_.end()
-                                         : coalesce_groups_.find(coalesce_key);
     if (shutdown_) {
       shutdown_reject = true;
-    } else if (group_it != coalesce_groups_.end()) {
-      // An identical request is already queued or running: attach as a
-      // FOLLOWER. No queue slot, no quota charge, no admission test —
-      // the ticket consumes nothing until the leader's completion (or
-      // its own deadline/cancel) resolves it.
-      ticket->seq_ = next_seq_++;
-      ticket->coalesce_key_ = coalesce_key;
-      group_it->second.followers.push_back(ticket);
-      coalesced = true;
     } else {
       if (options_.per_client_max_queued > 0) {
         auto it = client_queued_.find(options.client_id);
@@ -467,22 +433,14 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
         // an incoming deadline-carrying strict request to the portfolio
         // BEFORE it queues, so it can still answer inside its deadline
         // instead of expiring empty-handed in the backlog. The result
-        // stays explicitly marked degraded(). Its coalescing key names
-        // the strict config, so a flipped request leads no group.
+        // stays explicitly marked degraded().
         if (options_.auto_fallback_on_overload && deadline > 0 &&
             !ticket->request_.config.portfolio &&
             EvaluateHealthLocked() == ServiceHealth::kOverloaded) {
           ticket->request_.config.portfolio = true;
-          coalesce_key.clear();
           ledger_->Apply([](ServiceCounts& c) { ++c.auto_degraded; });
         }
         ticket->seq_ = next_seq_++;
-        if (!coalesce_key.empty()) {
-          // First request under this key: it LEADS. Identical submits
-          // while it is queued or running attach above.
-          ticket->coalesce_key_ = coalesce_key;
-          coalesce_groups_[coalesce_key].leader = ticket;
-        }
         EnqueueLocked(ticket);
         if (active_runners_ < max_concurrency_) {
           ++active_runners_;
@@ -517,11 +475,6 @@ TicketPtr Explain3DService::Submit(ExplanationRequest request,
                        est_wait, p50_run, ahead, max_concurrency_, deadline)),
                    RequestTicket::Source::kAdmissionRejected,
                    RequestTicket::State::kQueued);
-    return ticket;
-  }
-  if (coalesced) {
-    // Followers share the leader's computation; the attach itself is
-    // the whole submit path.
     return ticket;
   }
   if (spawn) {
@@ -630,13 +583,8 @@ void Explain3DService::Process(const TicketPtr& ticket) {
       claimed = true;
     }
   }
-  // Already counted by whoever finished it; just skip. A dead coalescing
-  // LEADER leaves its group headless, though: promote the oldest live
-  // follower before dropping the claim.
-  if (!claimed) {
-    if (!ticket->coalesce_key_.empty()) ResolveOrPromoteFollowers(ticket);
-    return;
-  }
+  // Already counted by whoever finished it; just skip.
+  if (!claimed) return;
   // From here on only this worker finishes the ticket; Cancel() can only
   // fire the token, and Submit stopped writing before the enqueue.
   const ExplanationRequest& req = ticket->request_;
@@ -654,9 +602,6 @@ void Explain3DService::Process(const TicketPtr& ticket) {
           req.deadline_seconds));
     }
     ticket->Finish(std::move(fired), Source::kOwn, State::kRunning);
-    // A leader dead at claim time has nothing shareable — its followers
-    // carry their own tokens; promote the oldest live one.
-    if (!ticket->coalesce_key_.empty()) ResolveOrPromoteFollowers(ticket);
     return;
   }
 
@@ -712,13 +657,6 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   // with those would collapse the estimate toward zero and silently
   // disable admission control.
   bool ran_pipeline = db1.ok() && db2.ok();
-  // Health signal: did this claimed run resolve kUnavailable (an
-  // injected fault)? Fed for pipeline runs only — stale-handle
-  // rejections say nothing about service pressure.
-  if (ran_pipeline) {
-    NoteRunTransient(!outcome.ok() &&
-                     outcome.status().code() == StatusCode::kUnavailable);
-  }
   if (outcome.ok()) {
     RecordLatencies(ticket->admission_key_, ticket->priority_, queue_s,
                     outcome.value().stage1_seconds(),
@@ -726,102 +664,7 @@ void Explain3DService::Process(const TicketPtr& ticket) {
   } else if (ran_pipeline) {
     RecordRunSeconds(ticket->admission_key_, run_s);
   }
-  if (ticket->coalesce_key_.empty()) {
-    ticket->Finish(std::move(outcome), Source::kOwn, State::kRunning);
-    return;
-  }
-  // A run interrupted by its own token shares nothing; everything else —
-  // including deterministic failures, which identical requests would
-  // reproduce identically — fans out to the coalesced followers, before
-  // the leader finishes (the outcome is moved into its ticket below).
-  // Followers copy the Result shell, not the artifacts — PipelineResult
-  // shares its blocks by pointer.
-  bool share = ran_pipeline && !InterruptedByOwnToken(outcome, cancel);
-  if (share) FanOutShared(ticket, outcome);
   ticket->Finish(std::move(outcome), Source::kOwn, State::kRunning);
-  if (!share) ResolveOrPromoteFollowers(ticket);
-}
-
-void Explain3DService::FanOutShared(const TicketPtr& leader,
-                                    const Result<PipelineResult>& outcome) {
-  std::vector<TicketPtr> followers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = coalesce_groups_.find(leader->coalesce_key_);
-    if (it == coalesce_groups_.end() ||
-        it->second.leader.get() != leader.get()) {
-      return;  // the group is gone (shutdown drained it)
-    }
-    followers = std::move(it->second.followers);
-    coalesce_groups_.erase(it);
-  }
-  for (const TicketPtr& f : followers) {
-    // Per-ticket independence: a follower whose OWN token fired resolves
-    // its own terminal status, never the shared result.
-    if (f->done() || f->ExpireIfFired()) continue;
-    f->Finish(outcome, RequestTicket::Source::kShared,
-              RequestTicket::State::kQueued);
-  }
-}
-
-void Explain3DService::ResolveOrPromoteFollowers(const TicketPtr& leader) {
-  std::vector<TicketPtr> followers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = coalesce_groups_.find(leader->coalesce_key_);
-    if (it == coalesce_groups_.end() ||
-        it->second.leader.get() != leader.get()) {
-      return;
-    }
-    followers = std::move(it->second.followers);
-    coalesce_groups_.erase(it);
-  }
-  // The leader died with nothing shareable (its own cancel/deadline, or
-  // a stale handle). Fired followers resolve their own status; the
-  // oldest live one becomes a fresh leader, re-enqueued into its band
-  // with the rest carried over as its followers.
-  TicketPtr promoted;
-  std::vector<TicketPtr> rest;
-  for (const TicketPtr& f : followers) {
-    if (f->done() || f->ExpireIfFired()) continue;
-    if (promoted == nullptr) {
-      promoted = f;
-    } else {
-      rest.push_back(f);
-    }
-  }
-  if (promoted == nullptr) return;
-  bool spawn = false;
-  std::vector<TicketPtr> orphans;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      orphans.push_back(promoted);
-      orphans.insert(orphans.end(), rest.begin(), rest.end());
-    } else {
-      CoalesceGroup& group = coalesce_groups_[promoted->coalesce_key_];
-      if (group.leader != nullptr) {
-        // A brand-new identical Submit claimed the key between the old
-        // leader's death and this promotion: attach everyone to it
-        // instead of running the work twice.
-        group.followers.push_back(promoted);
-        group.followers.insert(group.followers.end(), rest.begin(),
-                               rest.end());
-      } else {
-        group.leader = promoted;
-        group.followers = std::move(rest);
-        // Re-enqueue outside any quota test: promotion is not a new
-        // submit — the follower was admitted when it attached.
-        EnqueueLocked(promoted);
-        if (active_runners_ < max_concurrency_) {
-          ++active_runners_;
-          spawn = true;
-        }
-      }
-    }
-  }
-  for (const TicketPtr& t : orphans) t->Cancel();
-  if (spawn) SharedPool().Submit([this] { RunnerLoop(); });
 }
 
 ServiceHealth Explain3DService::EvaluateHealthLocked() const {
@@ -836,11 +679,7 @@ ServiceHealth Explain3DService::EvaluateHealthLocked() const {
        2 * rejections >= recent_admissions_.size())) {
     return ServiceHealth::kOverloaded;
   }
-  bool any_transient = false;
-  for (uint8_t t : recent_transients_) any_transient |= (t != 0);
-  if (depth >= kDegradeQueueFactor * width || any_transient) {
-    return ServiceHealth::kDegraded;
-  }
+  if (depth >= kDegradeQueueFactor * width) return ServiceHealth::kDegraded;
   return ServiceHealth::kHealthy;
 }
 
@@ -848,14 +687,6 @@ void Explain3DService::NoteAdmissionLocked(bool rejected) {
   recent_admissions_.push_back(rejected ? 1 : 0);
   if (recent_admissions_.size() > kHealthWindow) {
     recent_admissions_.pop_front();
-  }
-}
-
-void Explain3DService::NoteRunTransient(bool transient) {
-  std::lock_guard<std::mutex> lock(mu_);
-  recent_transients_.push_back(transient ? 1 : 0);
-  if (recent_transients_.size() > kHealthWindow) {
-    recent_transients_.pop_front();
   }
 }
 

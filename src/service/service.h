@@ -14,7 +14,9 @@
 //     already-returned results untouched (they co-own their artifacts);
 //   * the stage-1 cache — one MatchingContext keyed on
 //     (db-pair content identity, query pair, attr, blocking), LRU-
-//     evicted under ServiceOptions::cache_budget_bytes;
+//     evicted under ServiceOptions::cache_budget_bytes. Its builds are
+//     single-flight, so concurrent requests over one pair run one
+//     stage-1 build between them, whatever their solver configs;
 //   * the workers — requests queue by priority and run on the
 //     process-wide SharedPool, at most max_concurrency at a time, each
 //     producing a result bit-identical to a serial RunExplain3D of the
@@ -22,11 +24,6 @@
 //     are drained round-robin with optional per-client quotas, so one
 //     flooding tenant cannot starve the rest, and an anti-starvation
 //     escape hatch bounds cross-band starvation;
-//   * the request-coalescing layer — concurrent IDENTICAL requests
-//     (same data contents, queries, labels, and result-affecting
-//     config; see RequestResultKey) share one computation, and every
-//     ticket resolves from the shared PipelineResult zero-copy
-//     (ServiceOptions::enable_coalescing);
 //   * the persistence tier (storage/snapshot_file.h) — SnapshotTo
 //     writes the cached artifacts and incumbents into one atomically
 //     replaced snapshot file and RestoreFrom loads it, so a service
@@ -42,11 +39,10 @@
 // branch-and-bound node granularity, so Cancel() and deadlines interrupt
 // RUNNING requests — within milliseconds during a stage-2 solve (the
 // long-running case), or at the next stage-1 step boundary otherwise.
-// A request that has not started running (queued, or a coalesced
-// follower) expires its own deadline when Wait/WaitFor/TryGet finds it
-// passed. A cancelled request resolves kCancelled, a blown deadline
-// kDeadlineExceeded, and neither ever perturbs the results of surviving
-// requests. Admission control rejects
+// A request that has not started running expires its own deadline when
+// Wait/WaitFor/TryGet finds it passed. A cancelled request resolves
+// kCancelled, a blown deadline kDeadlineExceeded, and neither ever
+// perturbs the results of surviving requests. Admission control rejects
 // a request at Submit with kUnavailable when the queue is predictably
 // too deep for its deadline. ServiceStats reports queue depth (overall
 // and per priority band), warm/cold cache traffic, and latency
@@ -162,7 +158,7 @@ struct SubmitOptions {
 /// counted. The counters live in one ServiceLedger behind one lock, so
 /// every Stats() snapshot satisfies, at any moment:
 ///   completed == completed_exact + completed_degraded,
-///   failed <= completed, coalesced_hits <= completed,
+///   failed <= completed,
 ///   completed + cancelled + deadline_exceeded + rejected
 ///     + quota_rejected <= submitted.
 struct ServiceCounts {
@@ -177,15 +173,16 @@ struct ServiceCounts {
   /// predictably too slow for the deadline, quota rejects mean one
   /// CLIENT is over its share; operators react to them differently.
   size_t quota_rejected = 0;
-  /// Tickets resolved from a coalesced leader's shared computation —
-  /// each hit is a whole stage-1 build + solve that never ran. A subset
-  /// of completed, never an extra bucket.
+  /// Always 0: every request runs its own pipeline, and concurrent
+  /// requests share stage-1 work through the cache's single-flight
+  /// builds instead (ServiceStats::warm_hits). Kept so existing readers
+  /// of the counter (the benchmark's per-layer service.coalesced_frac)
+  /// still build.
   size_t coalesced_hits = 0;
   size_t failed = 0;  ///< completed with a non-OK pipeline status
   /// Completion split by solver: OK results marked
   /// PipelineResult::degraded() count as degraded; everything else,
-  /// failed completions included, as exact. Coalesced followers
-  /// classify by the shared result.
+  /// failed completions included, as exact.
   size_t completed_exact = 0;
   size_t completed_degraded = 0;
   /// Always 0: a claimed request runs once, and a kUnavailable outcome
@@ -197,8 +194,8 @@ struct ServiceCounts {
   /// ServiceOptions::auto_fallback_on_overload).
   size_t auto_degraded = 0;
   /// Solve units seeded from a fingerprint-matched warm-start incumbent
-  /// (summed Explain3DStats::warm_start_hits of the OK results of runs;
-  /// coalesced followers add nothing). Not part of the request balance
+  /// (summed Explain3DStats::warm_start_hits of the OK results). Not
+  /// part of the request balance
   /// — one request can contribute zero or many.
   size_t warm_start_hits = 0;
   // Persistence tier (RestoreFrom; zero until a restore).
@@ -223,9 +220,9 @@ class ServiceLedger;
 /// co-owns its Stage1Artifacts block.
 ///
 /// Wait, WaitFor and TryGet expire the ticket's deadline themselves: once
-/// it has passed, a ticket that has not started running (queued, or a
-/// coalesced follower) resolves kDeadlineExceeded right there, just as
-/// Cancel() resolves one; a running ticket stays with its worker's polls.
+/// it has passed, a ticket that has not started running resolves
+/// kDeadlineExceeded right there, just as Cancel() resolves one; a
+/// running ticket stays with its worker's polls.
 class RequestTicket {
  public:
   /// Blocks until the request reaches a terminal state; returns it.
@@ -251,8 +248,8 @@ class RequestTicket {
   /// stage-2 solve is in flight (node-granularity polls), the current
   /// build step's bound during stage 1. The interrupted ticket normally
   /// resolves kCancelled, but "delivered" (true) does not pin the
-  /// terminal status: the run (or a coalesced leader's fan-out) may
-  /// still finish with its real result in the race window (counted
+  /// terminal status: the run may still finish with its real result in
+  /// the race window (counted
   /// completed), and if the request's own deadline fired first the
   /// token's first firing is sticky, so it resolves kDeadlineExceeded.
   /// Branch on Wait()'s status, not on this return value. Returns false
@@ -269,7 +266,6 @@ class RequestTicket {
   /// Where a terminal result comes from; it picks the counter bucket.
   enum class Source {
     kOwn,                ///< this ticket's run, cancel, or deadline
-    kShared,             ///< a coalesced leader's result
     kQuotaRejected,      ///< refused at its client's queue quota
     kAdmissionRejected,  ///< refused by admission control
   };
@@ -281,21 +277,21 @@ class RequestTicket {
   ///
   /// Moves the ticket to kDone only from `from` — kRunning for its
   /// worker, kQueued for everything that races the worker's claim
-  /// (Cancel, deadline expiry, a leader's fan-out, Submit's rejections)
+  /// (Cancel, deadline expiry, Submit's rejections)
   /// — so exactly one call ever wins. The winner releases the request,
   /// counts the outcome into its ServiceCounts bucket, and only then
   /// wakes waiters:
   ///   kQuotaRejected → quota_rejected; kAdmissionRejected → rejected;
   ///   kOwn with this ticket's token fired and a kCancelled /
   ///     kDeadlineExceeded result → cancelled / deadline_exceeded;
-  ///   anything else → completed, plus coalesced_hits when kShared,
-  ///     failed when not OK, completed_degraded or completed_exact, and
-  ///     warm_start_hits for an OK kOwn result.
+  ///   anything else → completed, plus failed when not OK,
+  ///     completed_degraded or completed_exact, and warm_start_hits for
+  ///     an OK result.
   bool Finish(Result<PipelineResult> result, Source source, State from);
 
   /// Once this ticket's token has fired, finishes a still-kQueued
   /// ticket with the token's status. Returns whether the token has
-  /// fired — such a ticket never takes a shared or fresh result.
+  /// fired.
   bool ExpireIfFired();
 
   /// Body of Wait/WaitFor: blocks up to `seconds` (+inf = no limit),
@@ -309,12 +305,9 @@ class RequestTicket {
   ExplanationRequest request_;
   int priority_ = 0;      ///< SubmitOptions::priority
   std::string client_id_;  ///< SubmitOptions::client_id (quota/DRR key)
-  /// RequestResultKey of an oracle-free request under coalescing; empty
-  /// = never coalesces. Non-empty means this ticket is (or was) a
-  /// coalescing leader or follower under that key.
-  std::string coalesce_key_;
   /// (db-identity, stage-2 config tag) — the keyed admission estimate's
-  /// bucket; empty when the handles did not resolve at Submit.
+  /// bucket; empty when the handles did not resolve at Submit or
+  /// admission control is off.
   std::string admission_key_;
   uint64_t seq_ = 0;      ///< global FIFO order (anti-starvation key)
   std::chrono::steady_clock::time_point submit_time_;
@@ -329,23 +322,19 @@ class RequestTicket {
 
 using TicketPtr = std::shared_ptr<RequestTicket>;
 
-/// \brief Coarse service condition, computed from queue depth, recent
-/// admission rejections, and recent transient failures (runs resolved
-/// kUnavailable by an injected fault). Exposed through
-/// ServiceStats::health and consulted by Submit under
-/// ServiceOptions::auto_fallback_on_overload.
+/// \brief Coarse service condition, computed from queue depth and recent
+/// admission rejections. Exposed through ServiceStats::health and
+/// consulted by Submit under ServiceOptions::auto_fallback_on_overload.
 ///
 /// With W = max_concurrency:
 ///   kOverloaded: queue depth >= 4 × W, or at least half of the last
 ///                kHealthWindow admission decisions were rejections
 ///                (once >= 8 decisions are in the window);
-///   kDegraded:   queue depth >= 2 × W, or any of the last
-///                kHealthWindow claimed runs resolved kUnavailable
-///                (an injected fault);
+///   kDegraded:   queue depth >= 2 × W;
 ///   kHealthy:    everything else.
 /// The machine is memoryless by design — states are recomputed from the
-/// sliding windows on every read, so recovery is automatic when the
-/// pressure signal leaves the window.
+/// queue gauge and the admission window on every read, so recovery is
+/// automatic when the pressure leaves.
 enum class ServiceHealth { kHealthy = 0, kDegraded = 1, kOverloaded = 2 };
 
 /// Human-readable name ("healthy" / "degraded" / "overloaded").
@@ -372,8 +361,8 @@ struct ServiceStats : ServiceCounts {
   /// Injected-fault fires observed process-wide (FaultInjector counter;
   /// 0 unless a fault spec is armed).
   uint64_t fault_fires = 0;
-  /// Current health state (recomputed from the sliding windows at every
-  /// Stats call; see ServiceHealth).
+  /// Current health state (recomputed at every Stats call; see
+  /// ServiceHealth).
   ServiceHealth health = ServiceHealth::kHealthy;
   // Gauges.
   /// Submitted, not yet claimed by a worker, and still pending (tickets
@@ -436,30 +425,13 @@ struct ServiceOptions {
   /// priority (starvation possible under sustained high-priority load).
   size_t starvation_every = 8;
   /// Per-client cap (by SubmitOptions::client_id) on requests sitting
-  /// QUEUED (claimed and coalesced ones don't count); 0 = unlimited. A
+  /// QUEUED (claimed ones don't count); 0 = unlimited. A
   /// submit past the cap resolves kResourceExhausted immediately
   /// (ServiceStats::quota_rejected) — the flooding client is told to
   /// back off while everyone else's traffic is untouched. Tickets
   /// cancelled while queued count against their client until a worker
   /// reaps them (errs toward rejecting the flooder sooner).
   size_t per_client_max_queued = 0;
-  /// Coalesce concurrent identical requests onto one computation: a
-  /// Submit whose RequestResultKey (pipeline.h — database contents,
-  /// queries, attribute match, labels, and every result-affecting config
-  /// knob) matches a request currently queued or running attaches as a
-  /// FOLLOWER: it occupies no queue slot, no worker, and no quota, and
-  /// resolves from the leader's PipelineResult (a zero-copy artifact
-  /// share — bit-identical to running it alone, counted in
-  /// ServiceStats::coalesced_hits). Per-ticket independence is kept: a
-  /// follower's own deadline/cancel resolves just that follower, and a
-  /// leader terminated by ITS deadline/cancel (or a stale handle)
-  /// promotes the oldest live follower to a fresh leader instead of
-  /// failing the group. Requests with a calibration_oracle never
-  /// coalesce (a closure has no comparable identity). One caveat: a
-  /// follower shares the leader's DEGRADED result when budgets
-  /// interrupt the shared run — acceptable for the anytime contract,
-  /// set false where that matters.
-  bool enable_coalescing = true;
   /// Reject predictably-doomed requests at Submit — but only ones that
   /// would QUEUE. The backlog ahead of a request is
   ///   ahead = running + queued-at-same-or-higher-priority;
@@ -487,8 +459,7 @@ struct ServiceOptions {
   /// it can still answer inside its deadline with the greedy leg
   /// instead of joining the backlog and expiring empty-handed. Counted
   /// in ServiceStats::auto_degraded; results stay explicitly marked
-  /// degraded(), and a flipped request never leads a coalescing group.
-  /// Requests that carry no deadline, or are already portfolio, are
+  /// degraded(). Requests that carry no deadline, or are already portfolio, are
   /// never touched. false = never override a request's config.
   bool auto_fallback_on_overload = true;
 };
@@ -501,8 +472,8 @@ struct ServiceOptions {
 /// same inputs regardless of queue order, concurrency, cache state, or
 /// any other request being cancelled, rejected, or expiring around it.
 ///
-/// Destruction: queued requests and coalesced followers finish with
-/// kCancelled; in-flight ones run to completion (a caller that wants a
+/// Destruction: queued requests finish with kCancelled; in-flight ones
+/// run to completion (a caller that wants a
 /// bounded shutdown cancels the tickets it holds first). Tickets stay
 /// valid — callers may still Wait after the service is gone.
 class Explain3DService {
@@ -603,14 +574,6 @@ class Explain3DService {
     void Add(double v, size_t window);
   };
 
-  /// One coalescing group: the leader computation plus the followers
-  /// awaiting its result. Lives in coalesce_groups_ (guarded by mu_)
-  /// from the leader's enqueue until its terminal fan-out/promotion.
-  struct CoalesceGroup {
-    TicketPtr leader;
-    std::vector<TicketPtr> followers;  ///< attach order = promotion order
-  };
-
   /// Worker body: drain the queue until empty or shutdown.
   void RunnerLoop();
   /// Runs one claimed ticket end to end, once: the service.claim fault
@@ -619,25 +582,12 @@ class Explain3DService {
   /// Pushes an admitted ticket into its band's per-client queue and
   /// bumps the queue accounting. Caller holds mu_.
   void EnqueueLocked(const TicketPtr& ticket);
-  /// Finishes every follower of `leader`'s group from the shared
-  /// `outcome` (fired followers resolve their own cancel/deadline
-  /// instead) and retires the group. Called by the leader's worker.
-  void FanOutShared(const TicketPtr& leader,
-                    const Result<PipelineResult>& outcome);
-  /// Leader terminated with nothing shareable (its own cancel/deadline,
-  /// or a stale handle): resolve fired followers, promote the oldest
-  /// live one to a fresh leader (re-enqueued into its band), and carry
-  /// the rest over as its followers.
-  void ResolveOrPromoteFollowers(const TicketPtr& leader);
-  /// Health state from the queue gauge and sliding windows. Caller
-  /// holds mu_.
+  /// Health state from the queue gauge and the admission window.
+  /// Caller holds mu_.
   ServiceHealth EvaluateHealthLocked() const;
   /// Slides one admission decision into the health window. Caller
   /// holds mu_.
   void NoteAdmissionLocked(bool rejected);
-  /// Slides one claimed run's transient-failure flag into the health
-  /// window (takes mu_).
-  void NoteRunTransient(bool transient);
   /// Pops the next ticket per the scheduling policy: highest band
   /// first, round-robin across that band's clients (unit-quantum DRR),
   /// FIFO within a client, anti-starvation every k-th claim. Caller
@@ -695,12 +645,6 @@ class Explain3DService {
   /// (decremented at pop — cancelled dead weight counts until reaped).
   /// Entries erased at zero.
   std::unordered_map<std::string, size_t> client_queued_;
-  /// Live coalescing groups by RequestResultKey (guarded by mu_): a
-  /// group exists exactly while its leader is queued or running, so an
-  /// identical oracle-free Submit in that window attaches as a
-  /// follower. Erased at the leader's terminal fan-out/promotion and at
-  /// destruction.
-  std::unordered_map<std::string, CoalesceGroup> coalesce_groups_;
   uint64_t next_seq_ = 1;      ///< global submit order (ticket seq_)
   uint64_t claims_ = 0;        ///< pops so far (anti-starvation cadence)
   size_t active_runners_ = 0;
@@ -708,16 +652,14 @@ class Explain3DService {
   bool shutdown_ = false;
   std::condition_variable idle_cv_;  ///< fires when a runner exits
 
-  // Health windows (guarded by mu_): the most recent kHealthWindow
-  // admission decisions (1 = rejected) and claimed-run transient flags
-  // (1 = the run resolved kUnavailable). Queue depths of
+  // Health window (guarded by mu_): the most recent kHealthWindow
+  // admission decisions (1 = rejected). Queue depths of
   // kDegradeQueueFactor / kOverloadQueueFactor × max_concurrency move
   // health to kDegraded / kOverloaded (see ServiceHealth).
   static constexpr size_t kHealthWindow = 32;
   static constexpr double kDegradeQueueFactor = 2.0;
   static constexpr double kOverloadQueueFactor = 4.0;
   std::deque<uint8_t> recent_admissions_;
-  std::deque<uint8_t> recent_transients_;
 
   // Persistence tier. Concurrent SnapshotTo calls would write one temp
   // file at once, so they serialize on snapshot_mu_.

@@ -444,115 +444,6 @@ TEST(Stage2ConfigTagTest, ChangesExactlyForResultAffectingFields) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestResultKey is the coalescing key: requests share one computation
-// exactly when their keys match, so it must change exactly when a mapping
-// option can change a result.
-// ---------------------------------------------------------------------------
-
-TEST(RequestResultKeyTest, ChangesExactlyForResultAffectingMappingOptions) {
-  // Binding every field by name: a new MappingGenOptions field stops this
-  // compiling until it gets a row below.
-  MappingGenOptions defaults;
-  [[maybe_unused]] const auto& [metric, calibration_buckets, label_fraction,
-                                min_probability, score_floor, max_probability,
-                                use_blocking, seed, num_threads, cancel] =
-      defaults;
-
-  CancelToken token;
-  struct Row {
-    const char* field;
-    std::function<void(MappingGenOptions*)> perturb;
-    bool affects_results;
-  };
-  const Row rows[] = {
-      {"metric",
-       [](MappingGenOptions* m) { m->metric = StringMetric::kJaro; }, true},
-      {"calibration_buckets",
-       [](MappingGenOptions* m) { m->calibration_buckets = 20; }, true},
-      {"label_fraction",
-       [](MappingGenOptions* m) { m->label_fraction = 0.25; }, true},
-      {"min_probability",
-       [](MappingGenOptions* m) { m->min_probability = 0.1; }, true},
-      {"score_floor", [](MappingGenOptions* m) { m->score_floor = 0.3; },
-       true},
-      {"max_probability",
-       [](MappingGenOptions* m) { m->max_probability = 0.9; }, true},
-      {"use_blocking", [](MappingGenOptions* m) { m->use_blocking = false; },
-       true},
-      {"seed", [](MappingGenOptions* m) { m->seed = 18; }, true},
-      // Bit-identity contract: the mapping is the same at every thread
-      // count, and a fired token fails the call, never changes an answer.
-      {"num_threads", [](MappingGenOptions* m) { m->num_threads = 3; },
-       false},
-      {"cancel", [&token](MappingGenOptions* m) { m->cancel = &token; },
-       false},
-  };
-  auto key = [](const MappingGenOptions& mapping) {
-    return RequestResultKey("c1|c2", "SELECT 1", "SELECT 2", {}, mapping, {},
-                            Explain3DConfig{});
-  };
-  const std::string base = key(defaults);
-  for (const Row& row : rows) {
-    SCOPED_TRACE(row.field);
-    MappingGenOptions mapping;
-    row.perturb(&mapping);
-    EXPECT_EQ(key(mapping) != base, row.affects_results);
-  }
-}
-
-TEST(RequestResultKeyTest, ChangesWhenAnyOtherRequestInputChanges) {
-  // Every input besides the mapping options and the config, perturbed
-  // one at a time from the same base request.
-  struct Inputs {
-    std::string identity = "c1|c2";
-    std::string sql1 = "SELECT SUM(val) FROM Table";
-    std::string sql2 = "SELECT SUM(val) FROM Table";
-    AttributeMatches attr = {AttributeMatch::Single(
-        "match_attr", "match_attr", SemanticRelation::kEquivalent)};
-    GoldPairs gold = {{0, 1}, {2, 3}};
-  };
-  auto key = [](const Inputs& in) {
-    return RequestResultKey(in.identity, in.sql1, in.sql2, in.attr,
-                            MappingGenOptions{}, in.gold, Explain3DConfig{});
-  };
-  struct Row {
-    const char* input;
-    std::function<void(Inputs*)> perturb;
-  };
-  const Row rows[] = {
-      {"db identity", [](Inputs* in) { in->identity = "c1|c3"; }},
-      {"sql1", [](Inputs* in) { in->sql1 += " WHERE val > 0"; }},
-      {"sql2", [](Inputs* in) { in->sql2 += " WHERE val > 0"; }},
-      {"attribute relation",
-       [](Inputs* in) {
-         in->attr.front().relation = SemanticRelation::kMoreGeneral;
-       }},
-      {"attribute names", [](Inputs* in) { in->attr.front().attrs1 = {"id"}; }},
-      {"gold label changed", [](Inputs* in) { in->gold = {{0, 1}, {2, 4}}; }},
-      {"gold label added", [](Inputs* in) { in->gold.insert({5, 6}); }},
-      {"gold labels dropped", [](Inputs* in) { in->gold.clear(); }},
-  };
-  const std::string base = key(Inputs{});
-  EXPECT_EQ(key(Inputs{}), base);
-  for (const Row& row : rows) {
-    SCOPED_TRACE(row.input);
-    Inputs in;
-    row.perturb(&in);
-    EXPECT_NE(key(in), base);
-  }
-}
-
-TEST(RequestResultKeyTest, DelimitersInsideQueryTextsDoNotCollide) {
-  // A raw '|' join would render both pairs as "SELECT a|b|c".
-  auto key = [](const std::string& sql1, const std::string& sql2) {
-    return RequestResultKey("c1|c2", sql1, sql2, {}, MappingGenOptions{}, {},
-                            Explain3DConfig{});
-  };
-  EXPECT_NE(key("SELECT a|b", "c"), key("SELECT a", "b|c"));
-  EXPECT_NE(key("SELECT a|", "b"), key("SELECT a", "|b"));
-}
-
-// ---------------------------------------------------------------------------
 // The stage-1 cache key must change exactly when an input of the cached
 // front end (execution, provenance, canonicalization, interning, blocking)
 // changes: a miss otherwise rebuilds for nothing, a hit would serve

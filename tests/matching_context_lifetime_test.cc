@@ -2,17 +2,23 @@
 // PipelineResult: a result co-owns its Stage1Artifacts through an
 // ArtifactsPtr, so it must stay fully usable after the context that
 // served it is cleared (evicted) or destroyed; warm runs must share one
-// artifacts block instead of copying; and two contexts over the same
-// databases must not alias any mutable state.
+// artifacts block instead of copying; two contexts over the same
+// databases must not alias any mutable state; and concurrent misses on
+// one key must share one build (single-flight).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "common/cancel.h"
+#include "common/notification.h"
 #include "core/matching_context.h"
 #include "core/pipeline.h"
 #include "datagen/synthetic.h"
@@ -310,6 +316,127 @@ TEST(MatchingContextCacheTest, DroppedBlocksAreDestroyedOutsideTheLock) {
     ctx.GetOrBuild("b", other).value();
     EXPECT_EQ(ctx.evictions(), 1u);
     EXPECT_TRUE(released) << "eviction destroyed the block under its lock";
+  }
+}
+
+// --- single-flight builds ---------------------------------------------------
+
+// A builder that counts its runs, announces the first, and holds every
+// run until `release` fires.
+struct HeldBuilder {
+  std::atomic<int> runs{0};
+  Notification entered, release;
+  MatchingContext::Builder Fn() {
+    return [this]() -> Result<ArtifactsPtr> {
+      if (runs++ == 0) entered.Notify();
+      release.WaitForNotification();
+      return TinyBlock(4);
+    };
+  }
+};
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(MatchingContextSingleFlightTest, ConcurrentMissesOnOneKeyRunOneBuild) {
+  constexpr int kCallers = 8;
+  MatchingContext ctx;
+  HeldBuilder builder;
+  const MatchingContext::Builder build = builder.Fn();
+  std::vector<ArtifactsPtr> got(kCallers);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back(
+        [&, i] { got[i] = ctx.GetOrBuild("k", build).value(); });
+  }
+  builder.entered.WaitForNotification();
+  // Let the other callers reach the held build before it lands; one that
+  // arrives later takes the cached block, which counts the same.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  builder.release.Notify();
+  for (std::thread& t : callers) t.join();
+
+  EXPECT_EQ(builder.runs.load(), 1);
+  EXPECT_EQ(ctx.misses(), 1u);
+  EXPECT_EQ(ctx.hits(), static_cast<size_t>(kCallers - 1));
+  EXPECT_EQ(ctx.size(), 1u);
+  for (const ArtifactsPtr& art : got) EXPECT_EQ(art.get(), got[0].get());
+}
+
+TEST(MatchingContextSingleFlightTest, WaiterLeavesOnItsOwnTokenBuildLands) {
+  MatchingContext ctx;
+  HeldBuilder builder;
+  const MatchingContext::Builder build = builder.Fn();
+  std::thread owner([&] { EXPECT_TRUE(ctx.GetOrBuild("k", build).ok()); });
+  builder.entered.WaitForNotification();
+
+  // A cancel, fired while the waiter waits...
+  CancelToken cancelled;
+  std::chrono::steady_clock::time_point fired_at;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    fired_at = std::chrono::steady_clock::now();
+    cancelled.Cancel();
+  });
+  Result<ArtifactsPtr> r = ctx.GetOrBuild("k", build, &cancelled);
+  const auto returned_at = std::chrono::steady_clock::now();
+  canceller.join();
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(std::chrono::duration<double>(returned_at - fired_at).count(),
+            0.05);
+
+  // ...and a deadline, each leave the waiter within milliseconds.
+  const auto t0 = std::chrono::steady_clock::now();
+  CancelToken deadline(0.1);
+  r = ctx.GetOrBuild("k", build, &deadline);
+  const double waited = SecondsSince(t0);
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(waited, 0.1 + 0.05);
+
+  // The build went on for its owner and landed.
+  builder.release.Notify();
+  owner.join();
+  EXPECT_EQ(builder.runs.load(), 1);
+  EXPECT_EQ(ctx.size(), 1u);
+  EXPECT_EQ(ctx.misses(), 1u);
+  EXPECT_TRUE(ctx.GetOrBuild("k", build).ok());
+  EXPECT_EQ(ctx.hits(), 1u);
+}
+
+TEST(MatchingContextSingleFlightTest, InterruptedBuildPassesToAWaiter) {
+  // The builder's own interruption, and a transient fault, are not the
+  // waiter's: it builds instead, and nothing fails but the builder.
+  for (StatusCode code : {StatusCode::kCancelled,
+                          StatusCode::kDeadlineExceeded,
+                          StatusCode::kUnavailable}) {
+    SCOPED_TRACE(static_cast<int>(code));
+    MatchingContext ctx;
+    std::atomic<int> runs{0};
+    Notification entered, release;
+    const MatchingContext::Builder build = [&]() -> Result<ArtifactsPtr> {
+      if (runs++ > 0) return TinyBlock(4);
+      entered.Notify();
+      release.WaitForNotification();
+      return Status(code, "the first build stops");
+    };
+    Result<ArtifactsPtr> first = ArtifactsPtr();
+    std::thread owner([&] { first = ctx.GetOrBuild("k", build); });
+    entered.WaitForNotification();
+    Result<ArtifactsPtr> second = ArtifactsPtr();
+    std::thread waiter([&] { second = ctx.GetOrBuild("k", build); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.Notify();
+    owner.join();
+    waiter.join();
+
+    EXPECT_EQ(first.status().code(), code);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_NE(second.value(), nullptr);
+    EXPECT_EQ(runs.load(), 2);
+    EXPECT_EQ(ctx.misses(), 2u);
+    EXPECT_EQ(ctx.size(), 1u);
   }
 }
 

@@ -25,6 +25,7 @@
 
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,29 +121,6 @@ void ExpectResultsBitIdentical(const PipelineResult& a,
       << "seed " << seed;
 }
 
-// Oracle-free twin of MakeRequest — the coalescible unit (closures have
-// no comparable identity, so oracle-carrying requests never share).
-ExplanationRequest MakeCoalescibleRequest(const Variant& v, DatabaseHandle h1,
-                                          DatabaseHandle h2) {
-  ExplanationRequest req = MakeRequest(v, h1, h2);
-  req.calibration_oracle = nullptr;
-  return req;
-}
-
-PipelineResult SerialCoalescibleBaseline(const Variant& v) {
-  PipelineInput input;
-  input.db1 = &v.data->db1;
-  input.db2 = &v.data->db2;
-  input.sql1 = v.data->sql1;
-  input.sql2 = v.data->sql2;
-  input.attr_matches = v.data->attr_matches;
-  input.mapping_options.min_probability = 1e-4;
-  Explain3DConfig config;
-  config.num_threads = 1;
-  config.batch_size = v.batch_size;
-  return RunExplain3D(input, config).value();
-}
-
 // Everything one submitted ticket needs for post-hoc verification.
 struct TrackedTicket {
   TicketPtr ticket;
@@ -173,21 +151,13 @@ struct StressWorld {
       {&data_b, "b1", "b2", 20},
   };
   std::vector<PipelineResult> warm_baselines;
-  // Coalescing-leg variants: oracle-free, so identical submits share one
-  // computation — two keys keep per-client queues forming anyway.
-  std::vector<Variant> coalesce_variants = {
-      {&data_a, "a1", "a2", 1000},
-      {&data_b, "b1", "b2", 1000},
-  };
-  std::vector<PipelineResult> coalesce_baselines;
+  // Flood-leg variants: one per dataset pair, so one stage-1 key each.
+  std::vector<size_t> flood_variants = {0, 2};
 
   StressWorld() {
     for (const Variant& v : variants) baselines.push_back(SerialBaseline(v));
     for (const Variant& v : warm_variants) {
       warm_baselines.push_back(SerialBaseline(v));
-    }
-    for (const Variant& v : coalesce_variants) {
-      coalesce_baselines.push_back(SerialCoalescibleBaseline(v));
     }
   }
 };
@@ -722,17 +692,17 @@ TEST(ServiceStressTest, InjectedFaultSweepKeepsEveryInvariant) {
   EXPECT_GT(total_fires, 0u);
 }
 
-// --- coalescing + quota leg (multi-tenant serving) ---------------------------
-// The hammer pointed at the request-coalescing layer and the per-client
-// quotas: four tenants flood IDENTICAL oracle-free requests over two
+// --- identical-flood + quota leg (multi-tenant serving) ---------------------
+// The hammer pointed at the single-flight stage-1 builds and the
+// per-client quotas: four tenants flood IDENTICAL requests over two
 // dataset pairs, racing cancels, doomed and generous deadlines, and
-// tight per-client queue quotas. Shared results must stay bit-identical
-// to the serial baseline, per-ticket terminal independence must hold (a
-// follower's cancel/deadline resolves just that follower), and the
-// EXTENDED counter balance — including quota_rejected — must stay exact.
+// tight per-client queue quotas. Every result must stay bit-identical to
+// the serial baseline, each ticket resolves on its own, the EXTENDED
+// counter balance — including quota_rejected — must stay exact, and the
+// cache must build each pair once, plus at most one rebuild for each
+// build a cancel interrupted.
 
-void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
-                           size_t* coalesced_out) {
+void RunFloodQuotaRound(uint64_t seed, size_t ops_per_thread) {
   StressWorld& world = World();
   ServiceOptions options;
   options.max_concurrency = size_t{1} << (seed % 3);  // 1, 2, 4
@@ -759,11 +729,12 @@ void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
           return CounterHash(seed * 9973, base + salt);
         };
         auto submit_one = [&](bool with_deadline) {
-          size_t vi = draw(1) % world.coalesce_variants.size();
-          const Variant& v = world.coalesce_variants[vi];
+          size_t vi = world.flood_variants[draw(1) %
+                                           world.flood_variants.size()];
+          const Variant& v = world.variants[vi];
           auto [h1, h2] = v.db1_name == "a1" ? std::make_pair(a1, a2)
                                              : std::make_pair(b1, b2);
-          ExplanationRequest req = MakeCoalescibleRequest(v, h1, h2);
+          ExplanationRequest req = MakeRequest(v, h1, h2);
           bool doomed = false;
           if (with_deadline) {
             doomed = draw(2) % 2 == 0;
@@ -782,8 +753,8 @@ void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
         } else if (pct < 80) {
           submit_one(/*with_deadline=*/true);
         } else {
-          // Cancel one of our own — leader (promotes its followers),
-          // follower (resolves just it), or terminal (no-op).
+          // Cancel one of our own — queued, running (perhaps building
+          // the pair's stage 1 for others), or terminal (a no-op).
           if (tracked[t].empty()) {
             submit_one(false);
           } else {
@@ -802,16 +773,15 @@ void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
     total_tracked += tracked[t].size();
     for (const TrackedTicket& tt : tracked[t]) {
       const Result<PipelineResult>* r = tt.ticket->WaitFor(120.0);
-      ASSERT_NE(r, nullptr) << "lost ticket at coalesce seed " << seed;
+      ASSERT_NE(r, nullptr) << "lost ticket at flood seed " << seed;
       switch (r->status().code()) {
         case StatusCode::kOk:
           ++ok_results;
           EXPECT_FALSE(tt.doomed_deadline)
-              << "unmeetable deadline produced a result, coalesce seed "
+              << "unmeetable deadline produced a result, flood seed "
               << seed;
-          // Leader-run or follower-shared: bit-identical either way.
-          ExpectResultsBitIdentical(
-              r->value(), world.coalesce_baselines[tt.variant], seed);
+          ExpectResultsBitIdentical(r->value(), world.baselines[tt.variant],
+                                    seed);
           break;
         case StatusCode::kCancelled:
           ++cancelled;
@@ -819,23 +789,23 @@ void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
         case StatusCode::kDeadlineExceeded:
           ++deadline;
           EXPECT_TRUE(tt.doomed_deadline)
-              << "generous deadline expired, coalesce seed " << seed;
+              << "generous deadline expired, flood seed " << seed;
           break;
         case StatusCode::kUnavailable:
           ++rejected;
           EXPECT_TRUE(tt.has_deadline)
-              << "admission rejected a deadline-free request, coalesce seed "
+              << "admission rejected a deadline-free request, flood seed "
               << seed;
           break;
         case StatusCode::kResourceExhausted:
           // The per-client queue quota — the only source of this code.
           ++quota_rejects;
           EXPECT_NE(r->status().message().find("quota"), std::string::npos)
-              << r->status().ToString() << " coalesce seed " << seed;
+              << r->status().ToString() << " flood seed " << seed;
           break;
         default:
           ADD_FAILURE() << "unexpected terminal status "
-                        << r->status().ToString() << " at coalesce seed "
+                        << r->status().ToString() << " at flood seed "
                         << seed;
       }
     }
@@ -844,44 +814,48 @@ void RunCoalesceQuotaRound(uint64_t seed, size_t ops_per_thread,
   // The EXTENDED balance: every ticket in exactly one terminal bucket,
   // quota rejects accounted apart from admission rejects.
   ServiceStats stats = service.Stats();
-  *coalesced_out += stats.coalesced_hits;
-  EXPECT_EQ(stats.submitted, total_tracked) << "coalesce seed " << seed;
+  EXPECT_EQ(stats.submitted, total_tracked) << "flood seed " << seed;
   EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled +
                                  stats.deadline_exceeded + stats.rejected +
                                  stats.quota_rejected)
-      << "coalesce seed " << seed;
-  EXPECT_EQ(stats.completed, ok_results) << "coalesce seed " << seed;
-  EXPECT_EQ(stats.failed, 0u) << "coalesce seed " << seed;
-  EXPECT_EQ(stats.cancelled, cancelled) << "coalesce seed " << seed;
-  EXPECT_EQ(stats.deadline_exceeded, deadline) << "coalesce seed " << seed;
-  EXPECT_EQ(stats.rejected, rejected) << "coalesce seed " << seed;
-  EXPECT_EQ(stats.quota_rejected, quota_rejects) << "coalesce seed " << seed;
-  // Coalesced hits are a subset marker over completions, never a bucket.
-  EXPECT_LE(stats.coalesced_hits, stats.completed) << "coalesce seed " << seed;
+      << "flood seed " << seed;
+  EXPECT_EQ(stats.completed, ok_results) << "flood seed " << seed;
+  EXPECT_EQ(stats.failed, 0u) << "flood seed " << seed;
+  EXPECT_EQ(stats.cancelled, cancelled) << "flood seed " << seed;
+  EXPECT_EQ(stats.deadline_exceeded, deadline) << "flood seed " << seed;
+  EXPECT_EQ(stats.rejected, rejected) << "flood seed " << seed;
+  EXPECT_EQ(stats.quota_rejected, quota_rejects) << "flood seed " << seed;
   EXPECT_EQ(stats.completed, stats.completed_exact + stats.completed_degraded)
-      << "coalesce seed " << seed;
-  EXPECT_EQ(stats.completed_degraded, 0u) << "coalesce seed " << seed;
-  EXPECT_EQ(stats.queue_depth, 0u) << "coalesce seed " << seed;
-  // Every coalesced hit is a stage-1 build + solve that never ran: the
-  // cache can only have been touched by the runs that DID happen.
-  EXPECT_GE(stats.warm_hits + stats.cold_misses + stats.coalesced_hits,
-            ok_results)
-      << "coalesce seed " << seed;
+      << "flood seed " << seed;
+  EXPECT_EQ(stats.completed_degraded, 0u) << "flood seed " << seed;
+  EXPECT_EQ(stats.queue_depth, 0u) << "flood seed " << seed;
+  // Single-flight builds, with no fault armed and no budget to evict:
+  // every key a run reached holds one entry, and the builds are those
+  // entries plus at most one rebuild per build a cancel interrupted.
+  std::set<size_t> keys_answered;
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (const TrackedTicket& tt : tracked[t]) {
+      if (tt.ticket->TryGet()->ok()) keys_answered.insert(tt.variant);
+    }
+  }
+  EXPECT_GE(stats.cache_entries, keys_answered.size()) << "flood seed " << seed;
+  EXPECT_LE(stats.cache_entries, world.flood_variants.size())
+      << "flood seed " << seed;
+  EXPECT_GE(stats.cold_misses, stats.cache_entries) << "flood seed " << seed;
+  EXPECT_LE(stats.cold_misses, stats.cache_entries + cancelled)
+      << "flood seed " << seed;
+  EXPECT_EQ(stats.coalesced_hits, 0u) << "flood seed " << seed;
 }
 
-TEST(ServiceStressTest, CoalescingAndQuotaSweepHoldsEveryInvariant) {
+TEST(ServiceStressTest, IdenticalFloodAndQuotaSweepHoldsEveryInvariant) {
   size_t seeds = EnvSize("EXPLAIN3D_STRESS_SEEDS", kDefaultSeeds);
   size_t seed_base = EnvSize("EXPLAIN3D_STRESS_SEED_BASE", 1);
   size_t ops = EnvSize("EXPLAIN3D_STRESS_OPS", kDefaultOpsPerThread);
-  size_t total_coalesced = 0;
   for (size_t seed = seed_base; seed < seed_base + seeds; ++seed) {
-    SCOPED_TRACE("coalesce seed " + std::to_string(seed));
-    RunCoalesceQuotaRound(seed, ops, &total_coalesced);
+    SCOPED_TRACE("flood seed " + std::to_string(seed));
+    RunFloodQuotaRound(seed, ops);
     if (HasFatalFailure()) break;
   }
-  // 80% of the stream is identical submits over two keys: a sweep that
-  // never coalesced a single ticket exercised nothing.
-  EXPECT_GT(total_coalesced, 0u);
 }
 
 }  // namespace

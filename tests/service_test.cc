@@ -206,6 +206,30 @@ TEST(ServiceErrorTest, RetiredHandleFailsButCurrentOneWorks) {
   ExpectResultsBitIdentical(fresh->Wait().value(), baseline);
 }
 
+TEST(ServiceErrorTest, HostileSqlFailsItsTicketAndServingGoesOn) {
+  // SQL is request input: a query nested far past the parser's bound
+  // fails its own ticket with kParseError instead of taking the process
+  // down, and the next request is served as usual.
+  Explain3DService service;
+  SyntheticDataset data = MakeData(15);
+  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
+  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
+
+  ExplanationRequest hostile = MakeRequest(data, h1, h2);
+  hostile.sql1 = "SELECT SUM(val) FROM Table WHERE " +
+                 std::string(5000, '(') + "val > 1" + std::string(5000, ')');
+  TicketPtr bad = service.Submit(std::move(hostile));
+  EXPECT_EQ(bad->Wait().status().code(), StatusCode::kParseError);
+
+  TicketPtr good = service.Submit(MakeRequest(data, h1, h2));
+  ASSERT_TRUE(good->Wait().ok()) << good->Wait().status().ToString();
+  ExpectResultsBitIdentical(good->Wait().value(),
+                            SerialBaseline(data, MakeRequest(data, h1, h2)));
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
+}
+
 // --- generation-based cache retirement --------------------------------------
 
 TEST(ServiceCacheTest, ReRegisterRetiresArtifactsOnlyWhenContentChanges) {
@@ -996,18 +1020,7 @@ TEST(ServiceBatchTest, SubmitBatchAlignsTicketsWithRequests) {
             tickets[3]->TryGet()->value().artifacts().get());
 }
 
-// --- multi-tenant serving: request coalescing --------------------------------
-
-// Identical ORACLE-FREE requests are the coalescible unit: a closure has
-// no comparable identity, so MakeRequest's row-entity oracle (and the
-// parked/tagging probes above) all opt out of sharing automatically.
-ExplanationRequest MakeCoalescibleRequest(const SyntheticDataset& data,
-                                          DatabaseHandle h1,
-                                          DatabaseHandle h2) {
-  ExplanationRequest req = MakeRequest(data, h1, h2);
-  req.calibration_oracle = nullptr;
-  return req;
-}
+// --- single-flight stage-1 builds --------------------------------------------
 
 // Oracle whose pass dominates the run time — the "expensive pair" of the
 // keyed-admission test. Runs on every execution, warm or cold, like the
@@ -1020,122 +1033,83 @@ CalibrationOracle SleepOracle(double seconds) {
   };
 }
 
-TEST(ServiceCoalesceTest, EightIdenticalSubmitsShareOneComputation) {
-  // The acceptance bar of this PR: 8 concurrent identical submits cost
-  // exactly one stage-1 build and one solve, and every ticket resolves
-  // from the SAME PipelineResult — bit-identical to a serial run.
+TEST(ServiceSingleFlightTest, SubmitsDifferingOnlyInConfigShareOneBuild) {
+  // Eight requests over one cold pair that differ only in their solver
+  // config, all claimed at once: the cache runs one stage-1 build for
+  // them, and each answer is still its own config's serial answer.
   ServiceOptions options;
-  options.max_concurrency = 1;
+  options.max_concurrency = 8;
   Explain3DService service(options);
-  SyntheticDataset data = MakeData(51);
-  SyntheticDataset other = MakeData(52, 60);
+  SyntheticDataset data = MakeData(51, 60);
   DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
-  DatabaseHandle o1 = service.RegisterDatabase("oleft", other.db1);
-  DatabaseHandle o2 = service.RegisterDatabase("oright", other.db2);
 
-  // Pin the only worker inside an UNRELATED pair so all 8 submits land
-  // while nothing runs — the pure queued-coalescing path.
-  Notification entered, release;
-  ExplanationRequest blocker = MakeRequest(other, o1, o2);
-  blocker.calibration_oracle = ParkedOracle(&entered, &release);
-  TicketPtr blocked = service.Submit(blocker);
-  entered.WaitForNotification();
-
-  std::vector<TicketPtr> tickets;
-  for (int i = 0; i < 8; ++i) {
-    tickets.push_back(service.Submit(MakeCoalescibleRequest(data, h1, h2)));
+  std::vector<ExplanationRequest> requests;
+  for (size_t i = 0; i < 8; ++i) {
+    ExplanationRequest req = MakeRequest(data, h1, h2);
+    req.config.alpha = 0.8 + 0.02 * static_cast<double>(i);
+    req.config.seed = 7 + i;
+    req.config.portfolio = i % 2 == 1;
+    requests.push_back(std::move(req));
   }
-  // One leader holds one queue slot; the 7 followers hold none.
-  EXPECT_EQ(service.Stats().queue_depth, 1u);
-
-  // A request differing in a result-affecting config knob must NOT join
-  // the group: different RequestResultKey, own queue slot.
-  ExplanationRequest off_key = MakeCoalescibleRequest(data, h1, h2);
-  off_key.config.batch_size = 50;
-  TicketPtr separate = service.Submit(off_key);
-  EXPECT_EQ(service.Stats().queue_depth, 2u);
-
-  release.Notify();
-  EXPECT_TRUE(blocked->Wait().ok());
+  std::vector<TicketPtr> tickets = service.SubmitBatch(requests);
   for (const TicketPtr& t : tickets) {
     ASSERT_TRUE(t->Wait().ok()) << t->Wait().status().ToString();
   }
-  ASSERT_TRUE(separate->Wait().ok());
-
-  // Zero-copy share: all 8 results hold the SAME artifacts block...
-  const PipelineResult& first = tickets[0]->TryGet()->value();
-  for (const TicketPtr& t : tickets) {
-    EXPECT_EQ(t->TryGet()->value().artifacts().get(), first.artifacts().get());
-  }
-  // ...bit-identical to a serial RunExplain3D of the same request.
-  PipelineResult baseline =
-      SerialBaseline(data, MakeCoalescibleRequest(data, h1, h2));
-  for (const TicketPtr& t : tickets) {
-    ExpectResultsBitIdentical(t->TryGet()->value(), baseline);
-  }
 
   ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.coalesced_hits, 7u);
-  EXPECT_EQ(stats.submitted, 10u);
-  EXPECT_EQ(stats.completed, 10u);
-  // One stage-1 build for the coalesced pair (the blocker's pair built
-  // its own; the off-key request warmed off the leader's block)...
-  EXPECT_EQ(stats.cold_misses, 2u);
-  EXPECT_EQ(stats.warm_hits, 1u);
-  // ...and one solve: only blocker + leader + off-key ever ran, so the
-  // incumbent store saw exactly 3 lookups for 10 submits.
-  EXPECT_EQ(stats.incumbent_hits + stats.incumbent_misses, 3u);
+  EXPECT_EQ(stats.cold_misses, 1u);
+  EXPECT_EQ(stats.warm_hits, 7u);
+  EXPECT_EQ(stats.completed, 8u);
+  EXPECT_EQ(stats.coalesced_hits, 0u);
+  const PipelineResult& first = tickets[0]->TryGet()->value();
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    SCOPED_TRACE(i);
+    const PipelineResult& r = tickets[i]->TryGet()->value();
+    EXPECT_EQ(r.artifacts().get(), first.artifacts().get());
+    ExpectResultsBitIdentical(r, SerialBaseline(data, requests[i]));
+  }
 }
 
-TEST(ServiceCoalesceTest, FollowerAttachesWhileLeaderRuns) {
+TEST(ServiceSingleFlightTest, DeadlineFreeTwinOfADegradedRunAnswersExactly) {
+  // Two identical portfolio requests over one pair, one with a 0.2 s
+  // deadline and one with none, in flight together. They share the
+  // stage-1 build, but each runs its own solve: the deadline run
+  // degrades to the greedy answer, its twin returns the exact answer.
   ServiceOptions options;
-  options.max_concurrency = 1;
+  options.max_concurrency = 2;
   Explain3DService service(options);
   SyntheticDataset data = MakeData(53);
   DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
 
-  // An oracle-free hard solve in portfolio mode under a deadline: it
-  // runs the full 2 s and then COMPLETES with the greedy leg's answer
-  // (the PortfolioReturnsGreedyWhenBudgetFires shape) — a wide-open
-  // window for a second submit to attach while the leader is mid-run.
-  ExplanationRequest leader_req = MakeHardSolveRequest(data, h1, h2);
-  leader_req.config.portfolio = true;
-  leader_req.deadline_seconds = 2.0;
-  TicketPtr leader = service.Submit(leader_req);
-  while (service.Stats().running == 0 && leader->TryGet() == nullptr) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(leader->TryGet(), nullptr) << "leader finished before attach";
+  // A solve that outlasts 0.2 s but ends at its node cap.
+  ExplanationRequest twin = MakeHardSolveRequest(data, h1, h2);
+  twin.config.portfolio = true;
+  twin.config.exact_max_nodes = size_t{1} << 24;
+  ExplanationRequest hurried = twin;
+  hurried.deadline_seconds = 0.2;
+  TicketPtr first = service.Submit(hurried);
+  TicketPtr second = service.Submit(twin);
 
-  // Identical computation (the deadline is not part of the result key,
-  // only result-affecting inputs are): attaches to the RUNNING leader.
-  ExplanationRequest follower_req = MakeHardSolveRequest(data, h1, h2);
-  follower_req.config.portfolio = true;
-  follower_req.deadline_seconds = 30.0;  // its own, much later
-  TicketPtr follower = service.Submit(follower_req);
-  EXPECT_EQ(service.Stats().queue_depth, 0u);  // no slot: it's a follower
-
-  const Result<PipelineResult>* lr = leader->WaitFor(60.0);
-  const Result<PipelineResult>* fr = follower->WaitFor(60.0);
-  ASSERT_NE(lr, nullptr);
+  const Result<PipelineResult>* fr = first->WaitFor(60.0);
+  const Result<PipelineResult>* sr = second->WaitFor(120.0);
   ASSERT_NE(fr, nullptr);
-  ASSERT_TRUE(lr->ok()) << lr->status().ToString();
+  ASSERT_NE(sr, nullptr);
   ASSERT_TRUE(fr->ok()) << fr->status().ToString();
-  // The follower shares the leader's (degraded) result zero-copy — the
-  // documented coalescing caveat, asserted here as the contract.
-  EXPECT_TRUE(lr->value().degraded());
+  ASSERT_TRUE(sr->ok()) << sr->status().ToString();
   EXPECT_TRUE(fr->value().degraded());
-  EXPECT_EQ(fr->value().artifacts().get(), lr->value().artifacts().get());
+  EXPECT_FALSE(sr->value().degraded());
+  ExpectResultsBitIdentical(sr->value(), SerialBaseline(data, twin));
+  EXPECT_EQ(sr->value().artifacts().get(), fr->value().artifacts().get());
 
   ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.coalesced_hits, 1u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.completed_degraded, 2u);
+  EXPECT_EQ(stats.cold_misses, 1u);
+  EXPECT_EQ(stats.completed_degraded, 1u);
+  EXPECT_EQ(stats.completed_exact, 1u);
 }
 
-TEST(ServiceCoalesceTest, FollowersExpireTheirOwnDeadlinesWhileLeaderRuns) {
+TEST(ServiceTicketTest, QueuedTwinsExpireTheirOwnDeadlinesWhileTheFirstRuns) {
   ServiceOptions options;
   options.max_concurrency = 1;
   Explain3DService service(options);
@@ -1143,34 +1117,35 @@ TEST(ServiceCoalesceTest, FollowersExpireTheirOwnDeadlinesWhileLeaderRuns) {
   DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
   DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
 
-  // The FollowerAttachesWhileLeaderRuns leader: an oracle-free portfolio
-  // hard solve that runs its full 2 s and completes with the greedy
-  // leg's answer.
-  ExplanationRequest leader_req = MakeHardSolveRequest(data, h1, h2);
-  leader_req.config.portfolio = true;
-  leader_req.deadline_seconds = 2.0;
-  TicketPtr leader = service.Submit(leader_req);
-  while (service.Stats().running == 0 && leader->TryGet() == nullptr) {
+  // An oracle-free hard solve in portfolio mode under a deadline: it
+  // runs the full 2 s and then COMPLETES with the greedy leg's answer
+  // (the PortfolioReturnsGreedyWhenBudgetFires shape).
+  ExplanationRequest first_req = MakeHardSolveRequest(data, h1, h2);
+  first_req.config.portfolio = true;
+  first_req.deadline_seconds = 2.0;
+  TicketPtr first = service.Submit(first_req);
+  while (service.Stats().running == 0 && first->TryGet() == nullptr) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(leader->TryGet(), nullptr) << "leader finished before attach";
+  ASSERT_EQ(first->TryGet(), nullptr) << "first request finished too soon";
 
-  // Three identical followers with short deadlines. No worker polls a
-  // follower's token, so each expires itself when a waiter finds its
-  // deadline passed — one through each of Wait, WaitFor and TryGet.
+  // Three identical requests with short deadlines queue behind it. No
+  // worker polls a queued ticket's token, so each expires itself when a
+  // waiter finds its deadline passed — one through each of Wait, WaitFor
+  // and TryGet.
   constexpr double kDeadline = 0.3;
-  std::vector<TicketPtr> followers;
+  std::vector<TicketPtr> twins;
   std::vector<std::chrono::steady_clock::time_point> submitted;
   for (int i = 0; i < 3; ++i) {
-    ExplanationRequest req = leader_req;
+    ExplanationRequest req = first_req;
     req.deadline_seconds = kDeadline;
     submitted.push_back(std::chrono::steady_clock::now());
-    followers.push_back(service.Submit(std::move(req)));
+    twins.push_back(service.Submit(std::move(req)));
   }
-  EXPECT_EQ(service.Stats().queue_depth, 0u);  // all three are followers
-  EXPECT_EQ(followers[2]->TryGet(), nullptr);  // not due yet
+  EXPECT_EQ(service.Stats().queue_depth, 3u);
+  EXPECT_EQ(twins[2]->TryGet(), nullptr);  // not due yet
 
-  // One waiter thread per follower, each resolving it on its own.
+  // One waiter thread per twin, each resolving it on its own.
   auto since = [&](size_t i) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          submitted[i])
@@ -1180,15 +1155,15 @@ TEST(ServiceCoalesceTest, FollowersExpireTheirOwnDeadlinesWhileLeaderRuns) {
   std::vector<double> resolved_after(3, 0);
   std::vector<std::thread> waiters;
   waiters.emplace_back([&] {
-    results[0] = &followers[0]->Wait();
+    results[0] = &twins[0]->Wait();
     resolved_after[0] = since(0);
   });
   waiters.emplace_back([&] {
-    results[1] = followers[1]->WaitFor(30.0);
+    results[1] = twins[1]->WaitFor(30.0);
     resolved_after[1] = since(1);
   });
   waiters.emplace_back([&] {
-    while ((results[2] = followers[2]->TryGet()) == nullptr && since(2) < 30) {
+    while ((results[2] = twins[2]->TryGet()) == nullptr && since(2) < 30) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     resolved_after[2] = since(2);
@@ -1201,179 +1176,18 @@ TEST(ServiceCoalesceTest, FollowersExpireTheirOwnDeadlinesWhileLeaderRuns) {
     EXPECT_GE(resolved_after[i], kDeadline);
     EXPECT_LT(resolved_after[i], kDeadline + 0.2);
   }
-  EXPECT_EQ(leader->TryGet(), nullptr) << "the leader must still be running";
+  EXPECT_EQ(first->TryGet(), nullptr) << "the first must still be running";
 
-  // The leader completes as it would alone, sharing with no one, and
-  // each follower counted once.
-  const Result<PipelineResult>* lr = leader->WaitFor(60.0);
-  ASSERT_NE(lr, nullptr);
-  ASSERT_TRUE(lr->ok()) << lr->status().ToString();
-  EXPECT_TRUE(lr->value().degraded());
+  // The first completes as it would alone, and each twin counted once.
+  const Result<PipelineResult>* fr = first->WaitFor(60.0);
+  ASSERT_NE(fr, nullptr);
+  ASSERT_TRUE(fr->ok()) << fr->status().ToString();
+  EXPECT_TRUE(fr->value().degraded());
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.deadline_exceeded, 3u);
-  EXPECT_EQ(stats.coalesced_hits, 0u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.completed_degraded, 1u);
-}
-
-TEST(ServiceCoalesceTest, CancelledQueuedLeaderPromotesFollower) {
-  ServiceOptions options;
-  options.max_concurrency = 1;
-  Explain3DService service(options);
-  SyntheticDataset data = MakeData(54);
-  SyntheticDataset other = MakeData(55, 60);
-  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
-  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
-  DatabaseHandle o1 = service.RegisterDatabase("oleft", other.db1);
-  DatabaseHandle o2 = service.RegisterDatabase("oright", other.db2);
-
-  Notification entered, release;
-  ExplanationRequest blocker = MakeRequest(other, o1, o2);
-  blocker.calibration_oracle = ParkedOracle(&entered, &release);
-  TicketPtr blocked = service.Submit(blocker);
-  entered.WaitForNotification();
-
-  TicketPtr leader = service.Submit(MakeCoalescibleRequest(data, h1, h2));
-  TicketPtr follower = service.Submit(MakeCoalescibleRequest(data, h1, h2));
-  EXPECT_EQ(service.Stats().queue_depth, 1u);
-
-  // Cancelling the leader kills ONLY the leader: its terminal state is
-  // its own, while the follower is promoted to a fresh leader when the
-  // worker reaps the dead one.
-  EXPECT_TRUE(leader->Cancel());
-  EXPECT_EQ(leader->Wait().status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(follower->TryGet(), nullptr);  // survives the cancel
-
-  release.Notify();
-  EXPECT_TRUE(blocked->Wait().ok());
-  ASSERT_TRUE(follower->Wait().ok()) << follower->Wait().status().ToString();
-  ExpectResultsBitIdentical(
-      follower->TryGet()->value(),
-      SerialBaseline(data, MakeCoalescibleRequest(data, h1, h2)));
-
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.cancelled, 1u);
-  EXPECT_EQ(stats.completed, 2u);       // blocker + promoted follower
-  EXPECT_EQ(stats.coalesced_hits, 0u);  // the follower ran for itself
-}
-
-TEST(ServiceCoalesceTest, CancelledRunningLeaderPromotesFollower) {
-  ServiceOptions options;
-  options.max_concurrency = 1;
-  Explain3DService service(options);
-  SyntheticDataset data = MakeData(56);
-  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
-  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
-
-  TicketPtr leader = service.Submit(MakeHardSolveRequest(data, h1, h2));
-  CancelAtExit cancel_solves{{leader}};  // unbounded solves below
-  while (service.Stats().running == 0 && leader->TryGet() == nullptr) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(leader->TryGet(), nullptr);
-  TicketPtr follower = service.Submit(MakeHardSolveRequest(data, h1, h2));
-  cancel_solves.tickets.push_back(follower);
-  EXPECT_EQ(service.Stats().queue_depth, 0u);
-
-  // A mid-run cancel resolves the leader cooperatively — and must not
-  // take the follower down with it: an interrupted result is never
-  // shared, the follower is re-enqueued as its own (endless) leader.
-  EXPECT_TRUE(leader->Cancel());
-  const Result<PipelineResult>* lr = leader->WaitFor(30.0);
-  ASSERT_NE(lr, nullptr) << "cancelled leader never resolved";
-  EXPECT_EQ(lr->status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(follower->TryGet(), nullptr);
-
-  EXPECT_TRUE(follower->Cancel());
-  const Result<PipelineResult>* fr = follower->WaitFor(30.0);
-  ASSERT_NE(fr, nullptr) << "promoted follower never resolved";
-  EXPECT_EQ(fr->status().code(), StatusCode::kCancelled);
-
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.cancelled, 2u);
-  EXPECT_EQ(stats.coalesced_hits, 0u);
-  EXPECT_EQ(stats.completed, 0u);
-}
-
-TEST(ServiceCoalesceTest, StaleLeaderAfterReRegistrationPromotesFollower) {
-  // Re-registration between the leader's submit and its claim: the key
-  // follows the data CONTENT, so an identical re-registration keeps the
-  // group shared — and when the stale-handle leader fails at claim, the
-  // fresh-handle follower is promoted and serves the group's answer.
-  ServiceOptions options;
-  options.max_concurrency = 1;
-  Explain3DService service(options);
-  SyntheticDataset data = MakeData(57);
-  SyntheticDataset other = MakeData(58, 60);
-  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
-  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
-  DatabaseHandle o1 = service.RegisterDatabase("oleft", other.db1);
-  DatabaseHandle o2 = service.RegisterDatabase("oright", other.db2);
-
-  Notification entered, release;
-  ExplanationRequest blocker = MakeRequest(other, o1, o2);
-  blocker.calibration_oracle = ParkedOracle(&entered, &release);
-  TicketPtr blocked = service.Submit(blocker);
-  entered.WaitForNotification();
-
-  TicketPtr leader = service.Submit(MakeCoalescibleRequest(data, h1, h2));
-  // IDENTICAL contents, new generation: h1 retires, the key stays.
-  DatabaseHandle h1b = service.RegisterDatabase("left", data.db1);
-  TicketPtr follower = service.Submit(MakeCoalescibleRequest(data, h1b, h2));
-  EXPECT_EQ(service.Stats().queue_depth, 1u);  // same content → attached
-
-  release.Notify();
-  EXPECT_TRUE(blocked->Wait().ok());
-  // The leader's retired handle fails at claim — its own failure only.
-  EXPECT_EQ(leader->Wait().status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(follower->Wait().ok()) << follower->Wait().status().ToString();
-  ExpectResultsBitIdentical(
-      follower->TryGet()->value(),
-      SerialBaseline(data, MakeCoalescibleRequest(data, h1b, h2)));
-
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.coalesced_hits, 0u);
-  EXPECT_EQ(stats.completed, 3u);  // blocker + failed leader + follower
-  EXPECT_EQ(stats.failed, 1u);
-}
-
-TEST(ServiceCoalesceTest, ChangedContentNeverJoinsTheOldGroup) {
-  ServiceOptions options;
-  options.max_concurrency = 1;
-  Explain3DService service(options);
-  SyntheticDataset data = MakeData(59);
-  SyntheticDataset changed = MakeData(60);
-  SyntheticDataset other = MakeData(61, 60);
-  DatabaseHandle h1 = service.RegisterDatabase("left", data.db1);
-  DatabaseHandle h2 = service.RegisterDatabase("right", data.db2);
-  DatabaseHandle o1 = service.RegisterDatabase("oleft", other.db1);
-  DatabaseHandle o2 = service.RegisterDatabase("oright", other.db2);
-
-  Notification entered, release;
-  ExplanationRequest blocker = MakeRequest(other, o1, o2);
-  blocker.calibration_oracle = ParkedOracle(&entered, &release);
-  TicketPtr blocked = service.Submit(blocker);
-  entered.WaitForNotification();
-
-  TicketPtr old_gen = service.Submit(MakeCoalescibleRequest(data, h1, h2));
-  EXPECT_EQ(service.Stats().queue_depth, 1u);
-  // CHANGED contents: the new generation's identity differs, so an
-  // otherwise-identical submit must NOT share the old generation's
-  // computation — cross-generation coalescing would serve stale data.
-  DatabaseHandle h1c = service.RegisterDatabase("left", changed.db1);
-  TicketPtr new_gen = service.Submit(MakeCoalescibleRequest(data, h1c, h2));
-  EXPECT_EQ(service.Stats().queue_depth, 2u);  // its own leader slot
-
-  release.Notify();
-  EXPECT_TRUE(blocked->Wait().ok());
-  EXPECT_EQ(old_gen->Wait().status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(new_gen->Wait().ok()) << new_gen->Wait().status().ToString();
-
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.coalesced_hits, 0u);
-  EXPECT_EQ(stats.completed, 3u);
-  EXPECT_EQ(stats.failed, 1u);  // the retired-handle leader
 }
 
 // --- multi-tenant serving: fairness + quotas --------------------------------
@@ -1588,8 +1402,8 @@ TEST(ServiceStatsTest, PrioritiesPastTheBandCapAggregateNotDrop) {
 
 TEST(ServiceStatsTest, EverySnapshotBalancesWhileRequestsFinish) {
   // One thread reads Stats() in a loop while other threads submit,
-  // cancel, and get rejected, and the worker finishes leaders and fans
-  // out to their followers. Every snapshot must balance, not just the
+  // cancel, and get rejected, and the worker finishes requests. Every
+  // snapshot must balance, not just the
   // final one: the counters are copied under one lock.
   ServiceOptions options;
   options.max_concurrency = 1;
@@ -1610,17 +1424,16 @@ TEST(ServiceStatsTest, EverySnapshotBalancesWhileRequestsFinish) {
       ++snapshots;
       const bool balanced =
           s.completed == s.completed_exact + s.completed_degraded &&
-          s.failed <= s.completed && s.coalesced_hits <= s.completed &&
+          s.failed <= s.completed &&
           s.completed + s.cancelled + s.deadline_exceeded + s.rejected +
                   s.quota_rejected <=
               s.submitted;
       if (!balanced && violations++ == 0) {
         first_violation = StrFormat(
-            "submitted %zu completed %zu (exact %zu degraded %zu failed %zu "
-            "coalesced %zu) cancelled %zu deadline %zu rejected %zu quota "
-            "%zu",
+            "submitted %zu completed %zu (exact %zu degraded %zu failed "
+            "%zu) cancelled %zu deadline %zu rejected %zu quota %zu",
             s.submitted, s.completed, s.completed_exact,
-            s.completed_degraded, s.failed, s.coalesced_hits, s.cancelled,
+            s.completed_degraded, s.failed, s.cancelled,
             s.deadline_exceeded, s.rejected, s.quota_rejected);
       }
       std::this_thread::yield();
@@ -1635,20 +1448,21 @@ TEST(ServiceStatsTest, EverySnapshotBalancesWhileRequestsFinish) {
   };
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
-    // Park the only worker so everything below queues, attaches, or is
-    // rejected; releasing it drains the round while the reader runs.
+    // Park the only worker so everything below queues or is rejected;
+    // releasing it drains the round while the reader runs.
     Notification entered, release;
     ExplanationRequest blocker = MakeRequest(data, h1, h2);
     blocker.calibration_oracle = ParkedOracle(&entered, &release);
     TicketPtr blocked = service.Submit(blocker, SubmitOptions{0, "blocker"});
     entered.WaitForNotification();
     std::vector<std::thread> submitters;
-    // A coalescing leader, its followers, and a cancelled follower.
+    // A team queueing identical requests past its quota, cancelling
+    // one it queued.
     submitters.emplace_back([&] {
       for (int i = 0; i < 6; ++i) {
-        TicketPtr t = service.Submit(MakeCoalescibleRequest(data, h1, h2),
+        TicketPtr t = service.Submit(MakeRequest(data, h1, h2),
                                      SubmitOptions{0, "team"});
-        if (i == 5) t->Cancel();
+        if (i == 1) t->Cancel();
         keep(std::move(t));
       }
     });
@@ -1686,10 +1500,10 @@ TEST(ServiceStatsTest, EverySnapshotBalancesWhileRequestsFinish) {
   // The warm-up, one blocker per round, and the tickets kept above.
   EXPECT_EQ(s.submitted, 1 + kRounds + tickets.size());
   // Every kind of terminal transition happened.
-  EXPECT_EQ(s.coalesced_hits, static_cast<size_t>(kRounds) * 4);
   EXPECT_EQ(s.cancelled, static_cast<size_t>(kRounds) * 2);
   EXPECT_EQ(s.rejected, static_cast<size_t>(kRounds) * 3);
-  EXPECT_EQ(s.quota_rejected, static_cast<size_t>(kRounds) * 2);
+  EXPECT_EQ(s.quota_rejected, static_cast<size_t>(kRounds) * 6);
+  EXPECT_EQ(s.coalesced_hits, 0u);
 }
 
 }  // namespace
